@@ -46,12 +46,13 @@ from .rep import (
     adjoint,
     commutator_trace,
     fixed_lie_subspace,
+    fox_adjoint_blocks,
     sl2_inverse,
     su2_pair,
     twisted_cochain_complex,
 )
 from .torsion import BasedChainComplex, homology, sign_determined_torsion, torsion
-from .words import GroupPresentation, Word, fox_derivative
+from .words import GroupPresentation, Word
 
 
 class FiberedKnot:
@@ -237,8 +238,7 @@ def monodromy_action(fk, rep, tol=None, complement=None):
     full = np.zeros((3 * n, 3 * n), dtype=complex)
     words = fk.monodromy_words()
     for j in range(n):
-        for i in range(n):
-            blk = fiber_rep.evaluate_group_ring(fox_derivative(words[j], i))
+        for i, blk in enumerate(fox_adjoint_blocks(fiber_rep, words[j])):
             full[3 * j:3 * j + 3, 3 * i:3 * i + 3] = adT @ blk
     d0 = np.zeros((3 * n, 3), dtype=complex)
     for i in range(n):
@@ -348,10 +348,11 @@ def main_theorem_torsion(fk, rep, tol=None):
     tol = tol or rep.tol
     act = monodromy_action(fk, rep, tol)
     lams = eigenvalues_excluding_one(act.quotient, tol.unit_eigenvalue)
-    value, gap = _product_from_eigenvalues(epsilon0(fk), lams, tol.unit_eigenvalue)
+    eps0 = epsilon0(fk)
+    value, gap = _product_from_eigenvalues(eps0, lams, tol.unit_eigenvalue)
     report = TorsionReport(
         torsion=value,
-        epsilon0=epsilon0(fk),
+        epsilon0=eps0,
         eigenvalues=lams,
         unit_eigenvalue_gap=gap,
         method="cohomology",
@@ -378,9 +379,10 @@ def jacobian_torsion(fk, point, tol=DEFAULT_TOL):
         raise InvalidInputError("knot %r carries no trace-coordinate map" % fk.name)
     jac = fk.trace_map.jacobian(point)
     lams = eigenvalues_excluding_one(jac, tol.unit_eigenvalue)
-    value, gap = _product_from_eigenvalues(epsilon0(fk), lams, tol.unit_eigenvalue)
+    eps0 = epsilon0(fk)
+    value, gap = _product_from_eigenvalues(eps0, lams, tol.unit_eigenvalue)
     return TorsionReport(
-        torsion=value, epsilon0=epsilon0(fk), eigenvalues=lams,
+        torsion=value, epsilon0=eps0, eigenvalues=lams,
         unit_eigenvalue_gap=gap, method="jacobian", knot=fk.name,
         character=tuple(map(complex, point)))
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import RelatorViolationError
 from .linalg import DEFAULT_TOL
 from .torsion import BasedChainComplex
-from .words import GroupRingElement, Word, fox_derivative
+from .words import GroupRingElement, Word
 
 SL2C = "SL2C"
 SU2 = "SU2"
@@ -24,6 +24,7 @@ _H = np.array([[1, 0], [0, -1]], dtype=complex)
 _E = np.array([[0, 1], [0, 0]], dtype=complex)
 _F = np.array([[0, 0], [1, 0]], dtype=complex)
 SL2_BASIS = (_H, _E, _F)
+_SL2_STACK = np.array(SL2_BASIS)
 
 # pure quaternions as 2x2 matrices: i, j, k
 _QI = np.array([[1j, 0], [0, -1j]], dtype=complex)
@@ -208,6 +209,54 @@ def fixed_lie_subspace(matrices, tol=DEFAULT_TOL):
     return nullspace(np.vstack(rows), tol)
 
 
+def fox_adjoint_blocks(rep, word):
+    """All Fox/adjoint blocks of a word: an (n, 3, 3) array whose i-th entry
+    is Phi(d word / d g_i), for the n generators of the presentation.
+
+    One pass over the freely reduced word keeps the running prefix product:
+    a letter g contributes +Ad(prefix) before the prefix is multiplied by
+    rho(g), a letter g^-1 contributes -Ad(prefix) after it is multiplied by
+    rho(g)^-1.  The adjoints of all prefixes are formed in one batched step
+    and summed into each block in word order.  This repeats the arithmetic of
+    `rep.evaluate_group_ring(fox_derivative(word, i))` bit for bit: the
+    prefixes of a reduced word are reduced and are built by the same
+    left-to-right products as `evaluate_word`, and the group-ring terms are
+    sorted in word order.  The cost is linear in the word length.
+    """
+    letters = word.reduce().letters
+    n = rep.presentation.generator_count
+    if not letters:
+        return np.zeros((n, 3, 3), dtype=complex)
+    prefixes = np.empty((len(letters), 2, 2), dtype=complex)
+    p = np.eye(2, dtype=complex)
+    for k, (g, e) in enumerate(letters):
+        if e == 1:
+            prefixes[k] = p
+            p = p @ rep.images[g]
+        else:
+            p = p @ rep._inverses[g]
+            prefixes[k] = p
+    # the adjugate, as in sl2_inverse: exact sign-and-swap
+    inverses = np.empty_like(prefixes)
+    inverses[:, 0, 0] = prefixes[:, 1, 1]
+    inverses[:, 0, 1] = -prefixes[:, 0, 1]
+    inverses[:, 1, 0] = -prefixes[:, 1, 0]
+    inverses[:, 1, 1] = prefixes[:, 0, 0]
+    # images of the (H, E, F) basis under each Ad(prefix), and their
+    # (H, E, F) coordinates (entries 00, 01, 10), as in adjoint():
+    # terms[k, :, j] = Ad(p_k) b_j
+    images = prefixes[:, None] @ _SL2_STACK @ inverses[:, None]
+    terms = images.reshape(len(letters), 3, 4)[:, :, :3].transpose(0, 2, 1)
+    gens, exps = np.array(letters).T
+    np.negative(terms, out=terms, where=(exps == -1)[:, None, None])
+    # row i holds generator i's terms in word order and +0.0 elsewhere; its
+    # running sum starts at +0.0, so the zeros change no bit and the result
+    # is evaluate_group_ring's accumulation exactly
+    spread = np.zeros((n, len(letters) + 1, 3, 3), dtype=complex)
+    spread[gens, np.arange(1, len(letters) + 1)] = terms
+    return np.cumsum(spread, axis=1)[:, -1]
+
+
 def twisted_cochain_complex(presentation, rep, tol=None):
     """The adjoint-twisted cochain complex of the presentation 2-complex.
 
@@ -230,8 +279,7 @@ def twisted_cochain_complex(presentation, rep, tol=None):
         d0[3 * i:3 * i + 3, :] = adjoint(rep.images[i]) - np.eye(3)
     d1 = np.zeros((3 * nr, 3 * ng), dtype=complex)
     for k, r in enumerate(presentation.relators):
-        for i in range(ng):
-            block = rep.evaluate_group_ring(fox_derivative(r, i))
+        for i, block in enumerate(fox_adjoint_blocks(rep, r)):
             d1[3 * k:3 * k + 3, 3 * i:3 * i + 3] = block
     return BasedChainComplex([3, 3 * ng, 3 * nr], [d0, d1],
                              direction="cochain", tol=tol)

@@ -18,6 +18,7 @@ from fibtor import (
     ReducibleCharacterError,
     SU2,
     TraceCoordMap,
+    Word,
     abelianized_monodromy,
     eigenvalues_excluding_one,
     epsilon0,
@@ -316,6 +317,40 @@ def test_jacobian_torsion_matches_pipeline():
     jac = jacobian_torsion(fk, pt)
     assert jac.method == "jacobian"
     assert jac.torsion == pytest.approx(coh.torsion, abs=1e-9)
+
+
+def _monodromy_power(fk, k):
+    """Images of the fiber generators under phi^k, by substituting phi into
+    every letter k times."""
+    phi = fk.monodromy_words()
+    images = [Word([(g, 1)]) for g in range(len(phi))]
+    for _ in range(k):
+        images = [Word([x for g, e in w
+                        for x in (phi[g] if e == 1 else phi[g].inverse())])
+                  for w in images]
+    return dict(zip(fk.fiber_generators, images))
+
+
+def test_monodromy_power_oracle():
+    # phi^k acts on H^1(F) with eigenvalues 1, mu_i^k, so
+    # T(phi^k) = -sign det(I - M^k) prod 1/(1 - mu_i^k); the mu_i come from
+    # the trace-map Jacobian, which shares no code with the Fox path
+    fk = figure_eight()
+    m = abelianized_monodromy(fk)
+    for u in (-1.2, -0.7 + 0.5j, 0.6 + 0.3j):
+        point = fig8_locus_point(u)
+        evs = np.linalg.eigvals(fk.trace_map.jacobian(point))
+        mus = np.delete(evs, np.argmin(np.abs(evs - 1.0)))
+        assert np.max(np.abs(mus)) <= 3.0
+        for k in range(1, 9):
+            assert np.min(np.abs(1.0 - mus ** k)) >= 0.1
+            powered = FiberedKnot("figure_eight^%d" % k, 1, fk.fiber_generators,
+                                  _monodromy_power(fk, k), check_fibered=False)
+            det = round(np.linalg.det(np.eye(2) - np.linalg.matrix_power(m, k)))
+            expected = -np.sign(det) * np.prod(1.0 / (1.0 - mus ** k))
+            rep = lift_character_to_rep(powered, point)
+            value = main_theorem_torsion(powered, rep).torsion
+            assert value == pytest.approx(expected, rel=1e-8)
 
 
 # -- lifting -----------------------------------------------------------------------------

@@ -11,17 +11,27 @@ from fibtor import (
     GroupRingElement,
     Representation,
     RelatorViolationError,
+    SL2C,
     SU2,
     Word,
     adjoint,
     commutator_trace,
+    figure_eight,
     fox_derivative,
     homology,
     killing_form,
+    lift_character_to_rep,
     su2_pair,
+    trefoil,
     twisted_cochain_complex,
 )
-from fibtor.rep import SL2_BASIS, fixed_lie_subspace, lie_coordinates, sl2_inverse
+from fibtor.rep import (
+    SL2_BASIS,
+    fixed_lie_subspace,
+    fox_adjoint_blocks,
+    lie_coordinates,
+    sl2_inverse,
+)
 
 rng = np.random.default_rng(2024)
 
@@ -165,6 +175,67 @@ def test_fig8_relator_fox_expansion_by_hand():
     assert np.allclose(rep.evaluate_group_ring(elem), by_hand, atol=1e-10)
 
 
+def _random_reduced_word(gen, n, length):
+    letters = []
+    while len(letters) < length:
+        letter = (int(gen.integers(n)), int(gen.choice([1, -1])))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return Word(letters)
+
+
+def _random_images(gen, n, flavor):
+    """Generator images of moderate norm, so that products of a few hundred
+    letters stay far from overflow."""
+    images = []
+    for _ in range(n):
+        if flavor == SU2:
+            q = gen.standard_normal(4)
+            q /= np.linalg.norm(q)
+            images.append(np.array([[q[0] + 1j * q[1], q[2] + 1j * q[3]],
+                                    [-q[2] + 1j * q[3], q[0] - 1j * q[1]]]))
+        else:
+            g = np.eye(2) + 0.3 * (gen.standard_normal((2, 2))
+                                   + 1j * gen.standard_normal((2, 2)))
+            images.append(g / cmath.sqrt(np.linalg.det(g)))
+    return images
+
+
+def test_fox_adjoint_blocks_equal_group_ring_path():
+    gen = np.random.default_rng(31)
+    for n in (2, 4):
+        pres = GroupPresentation(["a", "b", "c", "d"][:n], [])
+        for flavor in (SL2C, SU2):
+            rep = Representation(pres, _random_images(gen, n, flavor), flavor=flavor)
+            for length in list(range(9)) + [17, 64, 150, 300]:
+                w = _random_reduced_word(gen, n, length)
+                blocks = fox_adjoint_blocks(rep, w)
+                assert blocks.shape == (n, 3, 3)
+                for i in range(n):
+                    assert np.array_equal(
+                        blocks[i], rep.evaluate_group_ring(fox_derivative(w, i)))
+
+
+def test_fox_adjoint_blocks_empty_word_and_cancelling_pairs():
+    gen = np.random.default_rng(32)
+    pres = GroupPresentation(["a", "b", "t"], [])
+    rep = Representation(pres, _random_images(gen, 3, SL2C))
+    assert np.array_equal(fox_adjoint_blocks(rep, Word()), np.zeros((3, 3, 3)))
+    for _ in range(10):
+        letters = list(_random_reduced_word(gen, 3, 40))
+        for _ in range(8):
+            k = int(gen.integers(len(letters) + 1))
+            g, e = int(gen.integers(3)), int(gen.choice([1, -1]))
+            letters[k:k] = [(g, e), (g, -e)]
+        padded = Word(letters)
+        blocks = fox_adjoint_blocks(rep, padded.reduce())
+        # the group-ring normal form of d(padded)/dg is that of the reduced
+        # word, so the sums agree exactly, not just to rounding
+        for i in range(3):
+            assert np.array_equal(
+                blocks[i], rep.evaluate_group_ring(fox_derivative(padded, i)))
+
+
 # -- adjoint and Killing form --------------------------------------------------------
 
 def test_adjoint_of_center_is_identity():
@@ -297,6 +368,24 @@ def test_twisted_complex_rejects_non_representation():
     with pytest.raises(RelatorViolationError):
         rep = Representation(pres, [random_sl2(), random_sl2()], check=False)
         twisted_cochain_complex(pres, rep)
+
+
+def test_twisted_complex_matches_group_ring_assembly():
+    gen = np.random.default_rng(33)
+    pres, rep = _hyperbolic_torus_rep(conjugate=False)
+    cases = [(pres, rep.conjugate(_random_images(gen, 1, SL2C)[0]))]
+    for fk, point in ((trefoil(), (0.4, 0.4, 0.4)),
+                      (figure_eight(), (0.3, 0.3 / (0.3 - 1.0), 0.3))):
+        cases.append((fk.presentation(), lift_character_to_rep(fk, point)))
+    for pres, rep in cases:
+        d1 = twisted_cochain_complex(pres, rep).boundaries[1]
+        ng = pres.generator_count
+        ref = np.zeros((3 * len(pres.relators), 3 * ng), dtype=complex)
+        for k, r in enumerate(pres.relators):
+            for i in range(ng):
+                ref[3 * k:3 * k + 3, 3 * i:3 * i + 3] = rep.evaluate_group_ring(
+                    fox_derivative(r, i))
+        assert np.array_equal(d1, ref)
 
 
 # -- SU(2) helpers ----------------------------------------------------------------------
