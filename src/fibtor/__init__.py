@@ -59,31 +59,11 @@ from .fibered import (
     lift_character_to_rep,
     main_theorem_torsion,
     torus_closed_form,
-    trace_jacobian,
     twisted_monodromy_on_H1,
     wang_exact_sequence,
     wang_product_check,
     wang_sequence_torsion,
 )
-from .catalog import catalog, figure_eight, get_entry, holonomy_representation, trefoil
+from .catalog import figure_eight, get_entry, holonomy_representation, trefoil
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BasedChainComplex", "ChainComplexError", "DegenerateMonodromyError",
-    "DEFAULT_TOL", "FiberedKnot", "FibtorError", "GroupPresentation",
-    "GroupRingElement", "InvalidInputError", "NonSimpleUnitEigenvalueError",
-    "NotFixedPointError", "NoUnitEigenvalueError", "ReducibleCharacterError",
-    "ReducibleRestrictionError", "RelatorViolationError", "Representation",
-    "SL2C", "SU2", "Tolerances", "TorsionReport", "TraceCoordMap", "Word",
-    "abelianized_monodromy", "adjoint", "catalog", "change_of_basis_det",
-    "commutator_trace", "complex_sign", "eigenvalues_excluding_one",
-    "epsilon0", "figure_eight", "fixed_point_characters", "fox_derivative",
-    "get_entry", "holonomy_representation", "homology", "jacobian_torsion",
-    "killing_form", "lift_character_to_rep", "main_theorem_torsion",
-    "multiplicativity_check", "multiplicativity_signs",
-    "sign_determined_torsion", "su2_pair", "torsion", "torus_closed_form",
-    "trace_jacobian",
-    "trefoil", "twisted_cochain_complex", "twisted_monodromy_on_H1",
-    "wang_exact_sequence", "wang_product_check", "wang_sequence_torsion",
-]

@@ -7,34 +7,64 @@ trace-coordinate Jacobian cross-check):
   figure_eight  monodromy a -> a b, b -> b a b;         trace map
                 (x3, x2 x3 - x1, x2 x3^2 - x1 x3 - x2)
 
+The trace maps are derived from the monodromy words; each knot keeps only
+its locus chart (`LocusChart`).
+
 Torus knots are served by the closed-form value only (their fibered
 presentations have genus (p-1)(q-1)/2 and are out of catalog scope beyond
 the trefoil = torus(2, 3)).
 """
 
+import collections
 import math
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .fibered import FiberedKnot, TraceCoordMap, lift_character_to_rep, torus_closed_form
-from .rep import SL2C, sl2_inverse
+from .rep import SL2C, Representation, sl2_inverse
+
+# A knot's chart of its fixed locus: the sweep grid coordinate, its map to
+# characters (x1, x2, x3), the value it misses, per sampling kind the uniform
+# ranges of real and imaginary parts, and the holonomy fiber character.
+LocusChart = collections.namedtuple(
+    "LocusChart", "coordinate point ranges pole holonomy", defaults=(None, None))
+
+# The discrete faithful representation of the figure-eight knot restricts on
+# the fiber to the character (x1, x2, x3) = ((3 + i sqrt 3)/2, (3 - i sqrt 3)/2,
+# (3 + i sqrt 3)/2): the unique fixed-locus point (up to complex conjugation)
+# where the meridian intertwiner is parabolic.  The two lifts differ by the
+# sign of the meridian image, which is normalized here to [[1, 1], [0, 1]]
+# and [[-1, 1], [0, -1]] respectively.
+
+HOLONOMY_FIBER_CHARACTER = (
+    complex(1.5, 0.5 * math.sqrt(3.0)),
+    complex(1.5, -0.5 * math.sqrt(3.0)),
+    complex(1.5, 0.5 * math.sqrt(3.0)),
+)
+
+_COMPLEX = ((-2.5, 2.5), (-1.5, 1.5))
+
+
+def _genus_one_knot(name, monodromy, chart):
+    fk = FiberedKnot(name, 1, ["a", "b"], monodromy)
+    fk.trace_map, fk.locus_chart = TraceCoordMap.from_monodromy(fk), chart
+    return fk
 
 
 def trefoil():
-    return FiberedKnot(
-        "trefoil", 1, ["a", "b"],
-        {"a": "a B A", "b": "a b"},
-        trace_map=TraceCoordMap(["x2", "x3", "x1"]),
-    )
+    # the diagonal locus (x, x, x), real samples from its irreducible SU(2) range
+    return _genus_one_knot("trefoil", {"a": "a B A", "b": "a b"}, LocusChart(
+        "x", lambda x: (x, x, x),
+        {"su2": ((-0.98, 1.98),), "real": ((-0.98, 1.98),), "complex": _COMPLEX}))
 
 
 def figure_eight():
-    return FiberedKnot(
-        "figure_eight", 1, ["a", "b"],
-        {"a": "a b", "b": "b a b"},
-        trace_map=TraceCoordMap(["x3", "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"]),
-    )
+    # the locus x3 = x1, x1 + x2 = x1 x2, through u = x1
+    return _genus_one_knot("figure_eight", {"a": "a b", "b": "b a b"}, LocusChart(
+        "u", lambda u: (u, u / (u - 1.0), u),
+        {"su2": ((-1.9, 0.6),), "real": ((-2.5, 0.9),), "complex": _COMPLEX},
+        pole=1.0, holonomy=HOLONOMY_FIBER_CHARACTER))
 
 
 class TorusKnotEntry:
@@ -96,22 +126,6 @@ def get_entry(name):
         name, ", ".join(e.name for e in catalog())))
 
 
-# -- the figure-eight holonomy lifts -------------------------------------------
-#
-# The discrete faithful representation of the figure-eight knot restricts on
-# the fiber to the character (x1, x2, x3) = ((3 + i sqrt 3)/2, (3 - i sqrt 3)/2,
-# (3 + i sqrt 3)/2): the unique fixed-locus point (up to complex conjugation)
-# where the meridian intertwiner is parabolic.  The two lifts differ by the
-# sign of the meridian image, which is normalized here to [[1, 1], [0, 1]]
-# and [[-1, 1], [0, -1]] respectively.
-
-HOLONOMY_FIBER_CHARACTER = (
-    complex(1.5, 0.5 * math.sqrt(3.0)),
-    complex(1.5, -0.5 * math.sqrt(3.0)),
-    complex(1.5, 0.5 * math.sqrt(3.0)),
-)
-
-
 def holonomy_representation(sign=1, tol=None):
     """A lift of the figure-eight holonomy in the fibered presentation.
 
@@ -121,7 +135,7 @@ def holonomy_representation(sign=1, tol=None):
     [[-1, -2i sqrt 3], [0, -1]]: trace -2.
     """
     fk = figure_eight()
-    rep = lift_character_to_rep(fk, HOLONOMY_FIBER_CHARACTER, flavor=SL2C,
+    rep = lift_character_to_rep(fk, fk.locus_chart.holonomy, flavor=SL2C,
                                 meridian_sign=1, tol=tol)
     T = rep.image(fk.meridian)
     # move the fixed line of the parabolic T to the first coordinate axis
@@ -140,7 +154,6 @@ def holonomy_representation(sign=1, tol=None):
         images = {g: rep.image(g) for g in fk.fiber_generators}
         images[fk.meridian] = -rep.image(fk.meridian)
         # conjugate by diag(i, -i) to flip the off-diagonal sign back to +1
-        from .rep import Representation
         rep = Representation(fk.presentation(), images, flavor=SL2C,
                              tol=rep.tol).conjugate(np.diag([1j, -1j]))
     return fk, rep

@@ -80,7 +80,8 @@ def _representation(fk, args, tol):
             images[name] = m
         return Representation(fk.presentation(), images, tol=tol)
     if args.holonomy:
-        if fk.name != "figure_eight":
+        # the catalog figure-eight is the one knot whose chart has holonomy lifts
+        if fk.locus_chart is None or fk.locus_chart.holonomy is None:
             raise InvalidInputError("--holonomy is specific to figure_eight")
         sign = 1 if args.holonomy == "plus" else -1
         _, rep = holonomy_representation(sign, tol=tol)
@@ -170,14 +171,13 @@ def _character_from_params(fk, params):
     """Map named grid coordinates to a character point on the fixed locus."""
     if set(params) == {"x1", "x2", "x3"}:
         return (params["x1"], params["x2"], params["x3"])
-    if fk.name == "trefoil" and set(params) == {"x"}:
-        x = params["x"]
-        return (x, x, x)
-    if fk.name == "figure_eight" and set(params) == {"u"}:
-        u = params["u"]
-        if abs(u - 1.0) < 1e-9:
-            raise InvalidInputError("u = 1 is off the locus")
-        return (u, u / (u - 1.0), u)
+    chart = fk.locus_chart
+    if chart is not None and set(params) == {chart.coordinate}:
+        value = params[chart.coordinate]
+        if chart.pole is not None and abs(value - chart.pole) < 1e-9:
+            raise InvalidInputError("%s = %g is off the locus"
+                                    % (chart.coordinate, chart.pole))
+        return chart.point(value)
     raise InvalidInputError(
         "unsupported grid coordinates %s for %s (use x for trefoil, u for "
         "figure_eight, or x1,x2,x3)" % (sorted(params), fk.name))
@@ -277,7 +277,6 @@ def build_parser():
     common.add_argument("--knot", help="catalog name, e.g. trefoil or torus(2,3)")
     common.add_argument("--knot-file", help="JSON knot definition file")
     common.add_argument("--tol", type=float, help="rank tolerance override")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
 
     p_comp = sub.add_parser("compute", parents=[common],
                             help="torsion at one representation")

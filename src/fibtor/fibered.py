@@ -21,11 +21,11 @@ the ordinary first cohomology of the fiber.
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import sympy
 
 from .errors import (
     DegenerateMonodromyError,
@@ -65,7 +65,7 @@ class FiberedKnot:
     """
 
     def __init__(self, name, genus, fiber_generators, monodromy,
-                 meridian="t", trace_map=None, check_fibered=True):
+                 meridian="t", check_fibered=True):
         self.name = name
         self.genus = int(genus)
         if self.genus < 1:
@@ -85,7 +85,8 @@ class FiberedKnot:
                 raise InvalidInputError(
                     "monodromy image of %r uses a non-fiber generator" % g)
             self.monodromy[g] = w.reduce()
-        self.trace_map = trace_map
+        # set by the catalog; from_json sets a knot file's checked trace map
+        self.trace_map = self.locus_chart = None
         # fibered knots have Delta_K(1) = +-1, so I - M is invertible;
         # check_fibered=False admits synthetic monodromies for bookkeeping
         if check_fibered and abs(round(self._det_i_minus_m())) == 0:
@@ -150,16 +151,22 @@ class FiberedKnot:
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text)
-        tm = obj.get("trace_map")
-        return cls(
-            obj.get("name", "knot"),
-            obj["genus"],
-            obj["fiber_generators"],
-            obj["monodromy"],
-            meridian=obj.get("meridian", "t"),
-            trace_map=TraceCoordMap(tm) if tm else None,
-        )
+        """Read a knot file, raising InvalidInputError on any malformed one.
+        An optional `trace_map` must equal the map derived from the monodromy."""
+        try:
+            obj = json.loads(text)
+            fk = cls(obj.get("name", "knot"), obj["genus"], obj["fiber_generators"],
+                     obj["monodromy"], meridian=obj.get("meridian", "t"))
+            given = obj.get("trace_map") and TraceCoordMap(obj["trace_map"])
+        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+            raise InvalidInputError("malformed knot file (%s: %s)"
+                                    % (type(exc).__name__, exc)) from exc
+        if given:
+            fk.trace_map = TraceCoordMap.from_monodromy(fk)
+            if given.polynomials != fk.trace_map.polynomials:
+                raise InvalidInputError("trace_map disagrees with the monodromy's map %s"
+                                        % [str(p) for p in fk.trace_map.polynomials])
+        return fk
 
     def __repr__(self):
         return "FiberedKnot(%r, genus=%d)" % (self.name, self.genus)
@@ -368,11 +375,6 @@ def main_theorem_torsion(fk, rep, tol=None):
     return report
 
 
-def trace_jacobian(trace_map, point):
-    """Exact Jacobian of a trace-coordinate map at a character point."""
-    return trace_map.jacobian(point)
-
-
 def jacobian_torsion(fk, point, tol=DEFAULT_TOL):
     """Torsion at a genus-one character point via the trace-map Jacobian only."""
     if fk.trace_map is None:
@@ -529,162 +531,187 @@ def wang_product_check(fk, rep, tol=None):
 # -- trace-coordinate machinery (genus one) -----------------------------------
 
 
-_X123 = sympy.symbols("x1 x2 x3")
+_ONE, _X1, _X2, _X3 = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
+_FACTOR = r"([0-9]+)|x([123])(?:\s*\*\*\s*([0-9]+))?"
+_TERM = r"(?:%s)(?:\s*\*\s*(?:%s))*" % (_FACTOR, _FACTOR)
+_POLYNOMIAL = re.compile(r"[-+]?\s*%s(?:\s*[-+]\s*%s)*" % (_TERM, _TERM))
+
+
+class Polynomial(dict):
+    """An integer polynomial in (x1, x2, x3), exponent triple -> coefficient,
+    printed as sympy does and evaluated bit for bit as that print would be."""
+
+    def _ordered(self):
+        terms = sorted(self.items(), reverse=True)
+        # sympy prints "1 - x1", not "-x1 + 1": a positive constant goes
+        # first when the only other term is a negative multiple of one power
+        if (len(terms) == 2 and terms[1][0] == _ONE and terms[1][1] > 0
+                and terms[0][1] < 0 and sum(map(bool, terms[0][0])) == 1):
+            terms.reverse()
+        return terms
+
+    def __str__(self):
+        out = ""
+        for k, (exps, c) in enumerate(self._ordered()):
+            factors = ["x%d" % (i + 1) + ("**%d" % e if e > 1 else "")
+                       for i, e in enumerate(exps) if e]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            out += ("-" if c < 0 else "") if k == 0 else (" - " if c < 0 else " + ")
+            out += "*".join(factors)
+        return out or "0"
+
+    def __call__(self, point):
+        value = 0
+        for k, (exps, c) in enumerate(self._ordered()):
+            factors = [point[i] if e == 1 else point[i] ** e
+                       for i, e in enumerate(exps) if e]
+            term = c if k == 0 else abs(c)  # a leading minus binds to the term
+            if factors and term in (1, -1):
+                term = factors.pop(0) if term == 1 else -factors.pop(0)
+            for f in factors:
+                term = term * f
+            value = term if k == 0 else value - term if c < 0 else value + term
+        return value
+
+    def diff(self, i):
+        return Polynomial({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                           for e, c in self.items() if e[i]})
+
+
+def _sum(*terms):
+    """The sum of c * x^m * p over the (c, m, p) given."""
+    out = {}
+    for c, m, p in terms:
+        for e, v in p.items():
+            k = (e[0] + m[0], e[1] + m[1], e[2] + m[2])
+            out[k] = out.get(k, 0) + c * v
+    return Polynomial((k, v) for k, v in out.items() if v)
+
+
+def parse_polynomial(text):
+    """Read an expanded integer polynomial in x1, x2, x3 made of integers and
+    `+ - * **` (exponents on variables only); the text is never evaluated."""
+    if not isinstance(text, str) or not _POLYNOMIAL.fullmatch(text.strip()):
+        raise InvalidInputError("not an integer polynomial in x1, x2, x3: %r" % (text,))
+    terms = []
+    for sign, body in re.findall(r"([-+]?)([^-+]+)", text.strip()):
+        coef, exps = -1 if sign == "-" else 1, [0, 0, 0]
+        for number, var, power in re.findall(_FACTOR, body):
+            if number:
+                coef *= int(number)
+            else:
+                exps[int(var) - 1] += int(power or 1)
+        terms.append((coef, tuple(exps), {_ONE: 1}))
+    return _sum(*terms)
+
+
+def trace_polynomial(word):
+    """tr rho(word), for a word in two generators, as a polynomial in
+    (x1, x2, x3) = (tr A, tr B, tr AB).  The word acts on the span of a
+    generic pair, basis (I, A, B, AB), by Cayley-Hamilton: A^2 = x1 A - I,
+    B^2 = x2 B - I, BA = x2 A + x1 B + (x3 - x1 x2) I - AB; an inverse letter
+    by Fricke's identity X G^-1 = tr(G) X - X G."""
+    x = (Polynomial({_ONE: 1}), Polynomial(), Polynomial(), Polynomial())
+    for g, e in word:
+        i, a, b, ab = x
+        if g == 0:  # with ABA = x3 A + B - x2 I
+            y = (_sum((-1, _ONE, a), (1, _X3, b), (-1, (1, 1, 0), b), (-1, _X2, ab)),
+                 _sum((1, _ONE, i), (1, _X1, a), (1, _X2, b), (1, _X3, ab)),
+                 _sum((1, _X1, b), (1, _ONE, ab)), _sum((-1, _ONE, b)))
+        else:  # with AB^2 = x2 AB - A
+            y = (_sum((-1, _ONE, b)), _sum((-1, _ONE, ab)),
+                 _sum((1, _ONE, i), (1, _X2, b)), _sum((1, _ONE, a), (1, _X2, ab)))
+        if e == -1:
+            y = tuple(_sum((1, (_X1, _X2)[g], p), (-1, _ONE, q)) for p, q in zip(x, y))
+        x = y
+    i, a, b, ab = x
+    return _sum((2, _ONE, i), (1, _X1, a), (1, _X2, b), (1, _X3, ab))
 
 
 class TraceCoordMap:
-    """The monodromy action on genus-one trace coordinates
-    (x1, x2, x3) = (I_a, I_b, I_ab): three integer polynomials."""
+    """The monodromy action on genus-one trace coordinates (x1, x2, x3) =
+    (I_a, I_b, I_ab): three Polynomials, or strings for `parse_polynomial`."""
 
     def __init__(self, polynomials):
-        self.polynomials = tuple(
-            sympy.sympify(p, locals={"x1": _X123[0], "x2": _X123[1], "x3": _X123[2]})
-            for p in polynomials)
+        self.polynomials = tuple(p if isinstance(p, Polynomial) else parse_polynomial(p)
+                                 for p in polynomials)
         if len(self.polynomials) != 3:
             raise InvalidInputError("a trace map has three polynomials")
-        self._jac = sympy.Matrix([[sympy.diff(p, v) for v in _X123]
-                                  for p in self.polynomials])
-        self._fns = [sympy.lambdify(_X123, p, "numpy") for p in self.polynomials]
-        self._jac_fn = sympy.lambdify(_X123, self._jac, "numpy")
+        self._jac = [[p.diff(j) for j in range(3)] for p in self.polynomials]
+
+    @classmethod
+    def from_monodromy(cls, fk):
+        """(tr phi(a), tr phi(b), tr phi(a) phi(b)), from the monodromy words."""
+        if fk.genus != 1:
+            raise InvalidInputError("trace maps are a genus-one notion here")
+        wa, wb = fk.monodromy_words()
+        return cls([trace_polynomial(w) for w in (wa, wb, wa * wb)])
 
     def __call__(self, point):
-        return tuple(complex(f(*point)) for f in self._fns)
+        return tuple(complex(p(point)) for p in self.polynomials)
 
     def jacobian(self, point):
         """Exact polynomial Jacobian (dP_i/dx_j), evaluated at the point."""
-        return np.asarray(self._jac_fn(*point), dtype=complex)
+        return np.array([[d(point) for d in row] for row in self._jac], dtype=complex)
 
     def fixed_locus_relations(self):
-        """Polynomial relations cutting out the fixed locus P(x) = x,
-        as a reduced Groebner basis."""
-        eqs = [sympy.expand(p - v) for p, v in zip(self.polynomials, _X123)]
-        eqs = [e for e in eqs if e != 0]
-        if not eqs:
-            return []
-        gb = sympy.groebner(eqs, *_X123, order="lex")
-        return list(gb.exprs)
-
-    def boundary_trace_polynomial(self):
-        """I_gamma = tr of the commutator as a polynomial in (x1, x2, x3)."""
-        x1, x2, x3 = _X123
-        return sympy.expand(-2 - x1 * x2 * x3 + x1 ** 2 + x2 ** 2 + x3 ** 2)
+        """Reduced Groebner basis of the fixed locus P(x) = x."""
+        import sympy  # only here: the computing path never needs it
+        gens = sympy.symbols("x1 x2 x3")
+        eqs = [_sum((1, _ONE, p), (-1, v, {_ONE: 1}))
+               for p, v in zip(self.polynomials, (_X1, _X2, _X3))]
+        eqs = [sympy.Poly.from_dict(e, *gens).as_expr() for e in eqs if e]
+        return list(sympy.groebner(eqs, *gens, order="lex").exprs) if eqs else []
 
     def preserves_boundary_trace(self):
-        """Whether I_gamma o P = I_gamma identically (exact polynomial check)."""
-        kappa = self.boundary_trace_polynomial()
-        sub = kappa.xreplace(dict(zip(_X123, self.polynomials)))
-        return sympy.expand(sub - kappa) == 0
+        """Whether I_gamma o P = I_gamma exactly, I_gamma = tr [A, B]."""
+        def mul(p, q):
+            return _sum(*((c, e, q) for e, c in p.items()))
+
+        def kappa(y1, y2, y3):
+            return _sum((1, _ONE, mul(y1, y1)), (1, _ONE, mul(y2, y2)),
+                        (1, _ONE, mul(y3, y3)), (-1, _ONE, mul(mul(y1, y2), y3)),
+                        (-2, _ONE, {_ONE: 1}))
+        return kappa(*self.polynomials) == kappa(*({m: 1} for m in (_X1, _X2, _X3)))
 
 
 class FixedLocus:
-    """Fixed points of the trace map: defining relations plus a sampler."""
+    """Fixed locus P(x) = x of a catalog knot's trace map: its relations,
+    computed on access, and a sampler on the knot's locus chart."""
 
-    def __init__(self, fk, relations, sampler):
-        self.knot = fk.name
-        self.relations = relations
-        self._sampler = sampler
+    def __init__(self, fk):
+        if fk.trace_map is None or fk.locus_chart is None:
+            raise InvalidInputError("knot %r has no locus chart" % fk.name)
+        self.trace_map, self.chart = fk.trace_map, fk.locus_chart
+
+    @property
+    def relations(self):
+        return self.trace_map.fixed_locus_relations()
 
     def sample(self, count, rng=None, kind="complex"):
-        """`count` character points on the locus.
-
-        kind 'su2' draws from the real range where the character is realized
-        by an SU(2) pair; 'real' from the real irreducible range; 'complex'
-        from a generic complex parametrization.
-        """
+        """`count` irreducible points: kind 'su2' from the real range of SU(2)
+        characters, 'real' from the real irreducible range, others complex."""
         rng = rng or np.random.default_rng(0)
-        return self._sampler(count, rng, kind)
-
-    def __repr__(self):
-        return "FixedLocus(%s: %s)" % (self.knot, ", ".join(
-            "%s = 0" % r for r in map(str, self.relations)))
-
-
-def fixed_point_characters(fk):
-    """Fixed locus of the monodromy on genus-one trace coordinates.
-
-    The defining relations come from the exact fixed-point system
-    P(x) = x; the sampler avoids the reducible points (commutator trace 2).
-    """
-    if fk.trace_map is None:
-        raise InvalidInputError("knot %r carries no trace-coordinate map" % fk.name)
-    relations = fk.trace_map.fixed_locus_relations()
-    sampler = _generic_locus_sampler(fk)
-    return FixedLocus(fk, relations, sampler)
-
-
-def _irreducible(point, margin=1e-6):
-    return abs(commutator_trace(*point) - 2.0) > margin
-
-
-def _generic_locus_sampler(fk):
-    name = fk.name
-    if name == "trefoil":
-        def sample(count, rng, kind):
-            pts = []
-            while len(pts) < count:
-                if kind == "su2" or kind == "real":
-                    # irreducible SU(2) range of the diagonal locus
-                    x = complex(rng.uniform(-0.98, 1.98))
-                else:
-                    x = complex(rng.uniform(-2.5, 2.5), rng.uniform(-1.5, 1.5))
-                p = (x, x, x)
-                if _irreducible(p):
-                    pts.append(p)
-            return pts
-        return sample
-    if name == "figure_eight":
-        def sample(count, rng, kind):
-            pts = []
-            while len(pts) < count:
-                if kind == "su2":
-                    u = complex(rng.uniform(-1.9, 0.6))
-                elif kind == "real":
-                    u = complex(rng.uniform(-2.5, 0.9))
-                else:
-                    u = complex(rng.uniform(-2.5, 2.5), rng.uniform(-1.5, 1.5))
-                if abs(u - 1.0) < 1e-3:
-                    continue
-                p = (u, u / (u - 1.0), u)
-                if not _irreducible(p):
-                    continue
-                if kind == "su2":
-                    try:
-                        su2_pair(p[0].real, p[1].real, p[2].real)
-                    except ValueError:
-                        continue
-                pts.append(p)
-            return pts
-        return sample
-
-    # generic genus-one knot: solve the fixed-point system with x1 as parameter
-    def sample(count, rng, kind):
-        tm = fk.trace_map
-        x1s, x2s, x3s = _X123
+        ranges = self.chart.ranges.get(kind, self.chart.ranges["complex"])
         pts = []
-        attempts = 0
-        while len(pts) < count and attempts < 60 * count:
-            attempts += 1
-            if kind in ("su2", "real"):
-                val = sympy.Rational(rng.integers(-200, 200), 101)
-            else:
-                val = (sympy.Rational(rng.integers(-200, 200), 101)
-                       + sympy.I * sympy.Rational(rng.integers(-150, 150), 101))
-            eqs = [sympy.expand((p - v).subs(x1s, val))
-                   for p, v in zip(tm.polynomials, _X123)]
-            try:
-                sols = sympy.solve(eqs, [x2s, x3s], dict=True)
-            except Exception:
+        while len(pts) < count:
+            c = complex(*(rng.uniform(lo, hi) for lo, hi in ranges))
+            if self.chart.pole is not None and abs(c - self.chart.pole) < 1e-3:
                 continue
-            for sol in sols:
-                p = (complex(val), complex(sol.get(x2s, 0)), complex(sol.get(x3s, 0)))
-                if _irreducible(p):
-                    pts.append(p)
-                    break
-        if len(pts) < count:
-            raise NotFixedPointError(
-                "could not sample %d fixed-locus points for %r" % (count, fk.name))
+            p = self.chart.point(c)
+            if abs(commutator_trace(*p) - 2.0) <= 1e-6:
+                continue
+            if kind == "su2":
+                try:
+                    su2_pair(p[0].real, p[1].real, p[2].real)
+                except ValueError:
+                    continue
+            pts.append(p)
         return pts
-    return sample
+
+
+fixed_point_characters = FixedLocus
 
 
 # -- lifting characters to representations ------------------------------------

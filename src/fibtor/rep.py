@@ -56,11 +56,6 @@ def lie_coordinates(m, flavor=SL2C):
     return np.array([m[0, 0] / 1j, m[0, 1].real, m[0, 1].imag], dtype=complex)
 
 
-def lie_matrix(v, flavor=SL2C):
-    basis = SL2_BASIS if flavor == SL2C else SU2_BASIS
-    return sum(c * b for c, b in zip(np.asarray(v, dtype=complex), basis))
-
-
 def adjoint(g, flavor=SL2C):
     """Matrix of Ad_g : v -> g v g^-1 in the flavor's Lie-algebra basis.
 
@@ -182,17 +177,6 @@ class Representation:
         return Representation(
             self.presentation, [g @ m @ gi for m in self.images],
             flavor=self.flavor, tol=self.tol, check=False)
-
-    def is_irreducible(self, tol=None):
-        """True when the image has no Ad-fixed Lie-algebra vector.
-
-        This is the operational criterion the torsion pipeline needs (H^0
-        with adjoint coefficients vanishes); it holds for all irreducible
-        representations and fails for abelian and binary dihedral ones.
-        """
-        tol = tol or self.tol
-        fixed = fixed_lie_subspace(self.images, tol)
-        return fixed.shape[1] == 0
 
 
 def fixed_lie_subspace(matrices, tol=DEFAULT_TOL):

@@ -127,11 +127,8 @@ def random_block_sum_ses(rng, max_degree=3):
 
 def _trefoil_su2_samples(count, rng):
     fk = trefoil()
-    locus = fixed_point_characters(fk)
-    reps = []
-    for pt in locus.sample(count, rng, kind="su2"):
-        reps.append(lift_character_to_rep(fk, pt, flavor=SU2))
-    return fk, reps
+    pts = fixed_point_characters(fk).sample(count, rng, kind="su2")
+    return fk, [lift_character_to_rep(fk, pt, flavor=SU2) for pt in pts]
 
 
 def _fig8_samples(count, rng):
@@ -395,7 +392,7 @@ def check_dual_oracle(rng, perturb=False):
                 continue
             act = monodromy_action(fk, rep)
             coh = np.linalg.eigvals(act.quotient)
-            worst = max(worst, _multiset_distance(coh, jac))
+            worst = max(worst, multiset_distance(coh, jac))
             count += 1
     return (worst <= 1e-8 and count >= 12,
             "max multiset distance %.2e over %d samples" % (worst, count))
@@ -440,9 +437,6 @@ def multiset_distance(a, b):
         worst = max(worst, abs(x - b[j]))
         b.pop(j)
     return worst
-
-
-_multiset_distance = multiset_distance
 
 
 def _fmt(z):

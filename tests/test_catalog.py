@@ -7,7 +7,6 @@ import pytest
 
 from fibtor import (
     InvalidInputError,
-    catalog,
     figure_eight,
     get_entry,
     holonomy_representation,
@@ -16,6 +15,7 @@ from fibtor import (
     torus_closed_form,
     trefoil,
 )
+from fibtor.catalog import catalog
 
 
 def test_catalog_names_and_methods():

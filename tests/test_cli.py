@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from fibtor.cli import main
+
 CMD = [sys.executable, "-m", "fibtor.cli"]
 
 
@@ -163,3 +167,55 @@ def test_verify_negative_control():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+def _bad_knot_files(tmp_path):
+    from fibtor import figure_eight
+    good = json.loads(figure_eight().to_json())
+    probe = tmp_path / "probe"
+    runs_code = dict(good, trace_map=[
+        "__import__('pathlib').Path(%r).touch() or x3" % str(probe),
+        "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"])
+    disagrees = dict(good, trace_map=["x1", "x2", "x3"])
+    unknown_generator = dict(good, monodromy={"a": "a c", "b": "b a b"})
+    missing_key = {k: v for k, v in good.items() if k != "monodromy"}
+    return probe, {
+        "runs_code": json.dumps(runs_code),
+        "disagrees": json.dumps(disagrees),
+        "unknown_generator": json.dumps(unknown_generator),
+        "missing_key": json.dumps(missing_key),
+        "truncated": figure_eight().to_json()[:-25],
+    }
+
+
+@pytest.mark.parametrize("case", ["runs_code", "disagrees", "unknown_generator",
+                                  "missing_key", "truncated"])
+def test_malformed_knot_file_is_invalid_input(tmp_path, capsys, case):
+    probe, files = _bad_knot_files(tmp_path)
+    path = tmp_path / ("%s.json" % case)
+    path.write_text(files[case])
+    code = main(["compute", "--knot-file", str(path), "--x", "0.5,-1,0.5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error[INVALID_INPUT]: ")
+    assert "Traceback" not in err
+    assert not probe.exists()
+
+
+def test_runtime_does_not_import_sympy():
+    # every subcommand and every verify check, in a fresh interpreter
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import fibtor, fibtor.cli, fibtor.verify",
+        "with contextlib.redirect_stdout(io.StringIO()), \\",
+        "        contextlib.redirect_stderr(io.StringIO()):",
+        "    fibtor.cli.main(['list'])",
+        "    fibtor.cli.main(['sweep', '--knot', 'trefoil', '--grid', 'x=-0.9:1.9:4'])",
+        "    fibtor.cli.main(['sweep', '--knot', 'figure_eight', '--grid', 'u=-2:2:5'])",
+        "    fibtor.cli.main(['compute', '--knot', 'figure_eight', '--holonomy', 'plus'])",
+        "failed = [n for n, ok, _ in fibtor.verify.run_checks() if not ok]",
+        "print(failed, 'sympy' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['fig8_holonomy_fifth'] False"

@@ -2,7 +2,9 @@
 formula, Wang identities, character lifting, torus closed form."""
 
 import cmath
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -37,7 +39,13 @@ from fibtor import (
     wang_product_check,
     wang_sequence_torsion,
 )
-from fibtor.fibered import monodromy_action, random_conjugate
+from fibtor.fibered import (
+    _normal_form_pair,
+    monodromy_action,
+    parse_polynomial,
+    random_conjugate,
+    trace_polynomial,
+)
 from fibtor.verify import multiset_distance
 
 rng = np.random.default_rng(99)
@@ -309,6 +317,69 @@ def test_locus_samples_are_fixed_and_irreducible():
             assert np.allclose(moved, pt, atol=1e-9)
 
 
+def _random_word(r, length):
+    return Word([(r.randrange(2), r.choice((1, -1))) for _ in range(length)])
+
+
+def test_trace_polynomial_matches_numeric_traces():
+    # Fricke's recursion against matrix products at one fixed SL2(C) pair
+    point = (0.7 + 0.4j, -1.3 + 0.2j, 0.5 - 0.9j)
+    A, B = _normal_form_pair(*point)
+    images = {0: (A, np.linalg.inv(A)), 1: (B, np.linalg.inv(B))}
+    r = random.Random(3)
+    for length in range(17):
+        for _ in range(12):
+            w = _random_word(r, length)
+            m = np.eye(2, dtype=complex)
+            for g, e in w:
+                m = m @ images[g][0 if e == 1 else 1]
+            got = trace_polynomial(w)(point)
+            assert abs(got - np.trace(m)) <= 1e-9 * max(1.0, abs(np.trace(m)))
+    assert trace_polynomial(Word([])) == {(0, 0, 0): 2}
+
+
+def test_derived_trace_maps_match_catalog_docstring():
+    # the hand-written maps of the catalog docstring
+    assert trefoil().trace_map.polynomials == TraceCoordMap(["x2", "x3", "x1"]).polynomials
+    assert figure_eight().trace_map.polynomials == TraceCoordMap(
+        ["x3", "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"]).polynomials
+    bare = FiberedKnot("figure_eight", 1, ["a", "b"], {"a": "a b", "b": "b a b"})
+    assert bare.trace_map is None
+    assert TraceCoordMap.from_monodromy(bare).polynomials == \
+        figure_eight().trace_map.polynomials
+
+
+def test_trace_polynomials_print_and_evaluate_like_sympy():
+    # str() is sympy's string, and the values (Jacobian entries included)
+    # are bit for bit those of sympy.lambdify on the same polynomial
+    gens = sympy.symbols("x1 x2 x3")
+    r = random.Random(8)
+    points = [(complex(0.3, -1.1), complex(-0.0, 2.5), complex(-1.7, 0.0)),
+              (complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 1.5)),
+              (0.5, -0.0, 2.0)]
+    for _ in range(40):
+        words = {g: _random_word(r, r.randrange(7)) for g in "ab"}
+        tm = TraceCoordMap.from_monodromy(
+            FiberedKnot("k", 1, ["a", "b"], words, check_fibered=False))
+        for p in tm.polynomials + tuple(p.diff(j) for p in tm.polynomials
+                                        for j in range(3)):
+            expr = sympy.Poly.from_dict(dict(p) or {(0, 0, 0): 0}, *gens).as_expr()
+            assert str(p) == str(expr)
+            f = sympy.lambdify(gens, expr, "numpy")
+            for pt in points:
+                assert np.complex128(p(pt)).tobytes() == np.complex128(f(*pt)).tobytes()
+
+
+def test_parse_polynomial():
+    p = parse_polynomial(" - x1 + 2*x2*x3**2 - 7 + x1*x1 + 3*x3*2")
+    assert str(p) == "x1**2 - x1 + 2*x2*x3**2 + 6*x3 - 7"
+    assert parse_polynomial("x1 - x1") == {}
+    for bad in ["", "x4", "x1 +", "+", "2**3", "x1**x2", "x1**-1", "(x1)",
+                "1.5*x1", "x1 * * x2", "x1 x2", "__import__('os').getcwd()", 5]:
+        with pytest.raises(InvalidInputError):
+            parse_polynomial(bad)
+
+
 def test_jacobian_torsion_matches_pipeline():
     fk = figure_eight()
     pt = fig8_locus_point(0.6 + 0.4j)
@@ -472,3 +543,16 @@ def test_knot_json_roundtrip():
     assert abelianized_monodromy(again).tolist() == [[1, 1], [1, 2]]
     rep = lift_character_to_rep(again, fig8_locus_point(0.5))
     assert main_theorem_torsion(again, rep).torsion == pytest.approx(0.25, abs=1e-9)
+
+
+def test_knot_file_trace_map_is_checked_against_the_monodromy():
+    text = figure_eight().to_json()
+    loaded = FiberedKnot.from_json(text)
+    assert loaded.trace_map.polynomials == figure_eight().trace_map.polynomials
+    assert loaded.locus_chart is None
+    obj = json.loads(text)
+    del obj["trace_map"]
+    assert FiberedKnot.from_json(json.dumps(obj)).trace_map is None
+    obj["trace_map"] = ["x1", "x2", "x3"]
+    with pytest.raises(InvalidInputError, match="disagrees"):
+        FiberedKnot.from_json(json.dumps(obj))
