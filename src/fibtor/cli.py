@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computation error, 2 usage error.
 """
 
 import argparse
+import cmath
 import itertools
 import json
 import sys
@@ -46,9 +47,12 @@ def _fmt_complex(z):
 def _parse_scalar(text):
     text = text.strip()
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise InvalidInputError("cannot parse %r as a number" % text) from exc
+    if not cmath.isfinite(z):
+        raise InvalidInputError("%r is not a finite number" % text)
+    return z
 
 
 def _tolerances(args):
@@ -58,10 +62,17 @@ def _tolerances(args):
     return tol
 
 
+def _read_text(path, what):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError("%s is not UTF-8 text (%s)" % (what, exc)) from exc
+
+
 def _load_knot(args):
     if args.knot_file:
-        with open(args.knot_file) as fh:
-            return FiberedKnot.from_json(fh.read()), None
+        return FiberedKnot.from_json(_read_text(args.knot_file, "knot file")), None
     if not args.knot:
         raise InvalidInputError("choose a knot with --knot or --knot-file")
     entry = get_entry(args.knot)
@@ -72,13 +83,15 @@ def _load_knot(args):
 
 def _representation(fk, args, tol):
     if args.rep_file:
-        with open(args.rep_file) as fh:
-            data = json.load(fh)
-        images = {}
-        for name, mat in data["images"].items():
-            m = np.array([[complex(c[0], c[1]) for c in row] for row in mat])
-            images[name] = m
-        return Representation(fk.presentation(), images, tol=tol)
+        text = _read_text(args.rep_file, "rep file")
+        try:
+            images = {name: np.array([[complex(c[0], c[1]) for c in row] for row in mat])
+                      for name, mat in json.loads(text)["images"].items()}
+            return Representation(fk.presentation(), images, tol=tol)
+        except (AttributeError, IndexError, KeyError, RecursionError, TypeError,
+                ValueError) as exc:
+            raise InvalidInputError("malformed rep file (%s: %s)"
+                                    % (type(exc).__name__, exc)) from exc
     if args.holonomy:
         # the catalog figure-eight is the one knot whose chart has holonomy lifts
         if fk.locus_chart is None or fk.locus_chart.holonomy is None:
@@ -129,7 +142,10 @@ def cmd_compute(args):
         if not args.x:
             raise InvalidInputError(
                 "torus knots take --x a,b (representation indices)")
-        parts = [int(float(v)) for v in args.x.split(",")]
+        try:
+            parts = [int(float(v)) for v in args.x.split(",")]
+        except (OverflowError, ValueError) as exc:
+            raise InvalidInputError("torus knots take integers --x a,b (%s)" % exc) from exc
         if len(parts) != 2:
             raise InvalidInputError("torus knots take --x a,b")
         value = torus.value(*parts)
@@ -154,16 +170,22 @@ def _parse_grid(spec):
         if "=" not in part:
             raise InvalidInputError("grid entries look like name=start:stop:steps")
         name, rng = part.split("=", 1)
+        name = name.strip()
+        if name in grid:
+            raise InvalidInputError("grid coordinate %r is given twice" % name)
         pieces = rng.split(":")
         if len(pieces) != 3:
             raise InvalidInputError("grid range %r is not start:stop:steps" % rng)
-        start, stop = float(pieces[0]), float(pieces[1])
-        steps = int(pieces[2])
+        try:
+            start, stop, steps = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        except ValueError as exc:
+            raise InvalidInputError("grid range %r is not start:stop:steps (%s)"
+                                    % (rng, exc)) from exc
         if steps < 1:
             raise InvalidInputError("step counts must be >= 1")
         if not (np.isfinite(start) and np.isfinite(stop)):
             raise InvalidInputError("grid ranges must be finite")
-        grid[name.strip()] = np.linspace(start, stop, steps)
+        grid[name] = np.linspace(start, stop, steps)
     return grid
 
 

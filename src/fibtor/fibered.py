@@ -44,8 +44,8 @@ from .rep import (
     SU2,
     Representation,
     adjoint,
+    coboundary_matrix,
     commutator_trace,
-    fixed_lie_subspace,
     fox_adjoint_blocks,
     sl2_inverse,
     su2_pair,
@@ -87,9 +87,12 @@ class FiberedKnot:
             self.monodromy[g] = w.reduce()
         # set by the catalog; from_json sets a knot file's checked trace map
         self.trace_map = self.locus_chart = None
-        # fibered knots have Delta_K(1) = +-1, so I - M is invertible;
-        # check_fibered=False admits synthetic monodromies for bookkeeping
-        if check_fibered and abs(round(self._det_i_minus_m())) == 0:
+        # det(I - phi_*) on H^1(F), an integer; fibered knots have
+        # Delta_K(1) = +-1, so it is nonzero.  check_fibered=False admits
+        # synthetic monodromies for bookkeeping
+        self.det_i_minus_m = round(float(np.linalg.det(
+            np.eye(2 * self.genus) - abelianized_monodromy(self))))
+        if check_fibered and self.det_i_minus_m == 0:
             raise DegenerateMonodromyError(
                 "det(I - abelianized monodromy) = 0; not a fibered-knot monodromy")
 
@@ -119,10 +122,6 @@ class FiberedKnot:
 
     def monodromy_words(self):
         return [self.monodromy[g] for g in self.fiber_generators]
-
-    def _det_i_minus_m(self):
-        m = abelianized_monodromy(self)
-        return round(float(np.linalg.det(np.eye(2 * self.genus) - m)))
 
     def character_of(self, rep):
         """Trace coordinates (I_a, I_b, I_ab) of the fiber restriction
@@ -189,7 +188,7 @@ def abelianized_monodromy(fk):
 
 def epsilon0(fk):
     """Sign of det(I - phi_*) on H^1(F; R)."""
-    det = fk._det_i_minus_m()
+    det = fk.det_i_minus_m
     if det == 0:
         raise DegenerateMonodromyError("det(I - phi_*) = 0")
     return 1 if det > 0 else -1
@@ -207,52 +206,50 @@ class MonodromyAction:
     coboundaries: matrix of d^0, whose column space B^1 must be preserved
     complement: orthonormal basis of the quotient model of H^1(F)
     quotient:   induced matrix on H^1(F), size 6g-3
+    meridian_image: rho(t)
     """
     full: np.ndarray
     coboundaries: np.ndarray
     complement: np.ndarray
     quotient: np.ndarray
-    fiber_rep: Representation
     meridian_image: np.ndarray
 
 
 def monodromy_action(fk, rep, tol=None, complement=None):
     """Compute the action of the monodromy on H^1(F; sl2_phi).
 
+    `rep` is a representation of `fk.presentation()`, whose first 2g
+    generators are the fiber generators and whose last is the meridian t.
     A cocycle h, determined by its values on the fiber generators, is sent
     to x |-> Ad_{rho(t)} h(phi(x)): expanding h over the image words by the
-    left cocycle convention turns this into Fox-derivative blocks.  The
-    coboundary space is checked to be preserved, and the induced map on the
-    quotient H^1 = C^1/B^1 is returned with its scaffolding.
+    left cocycle convention turns this into Fox-derivative blocks, the
+    fiber-generator blocks of `fox_adjoint_blocks` (no monodromy word
+    contains t).  B^1 is the column space of the coboundary matrix d0 of
+    the fiber images; its rank is 3 exactly when the fiber restriction has
+    no Ad-fixed vector (H^0(F) = 0), which is required.  B^1 is checked to
+    be preserved, and the induced map on the quotient H^1 = C^1/B^1 is
+    returned with its scaffolding.
 
     `complement` overrides the quotient model with any column basis
     complementing B^1 (the induced eigenvalues cannot depend on it).
     """
     tol = tol or rep.tol
-    fiber_names = fk.fiber_generators
-    fiber_images = [rep.image(g) for g in fiber_names]
-    fixed = fixed_lie_subspace(fiber_images, tol)
-    if fixed.shape[1] > 0:
+    n = len(fk.fiber_generators)
+    if rep.presentation.generators[:n] != fk.fiber_generators:
+        raise InvalidInputError("the representation's first generators must be "
+                                "the knot's fiber generators")
+    d0 = coboundary_matrix(rep.images[:n])
+    bspace = column_space(d0, tol)
+    if bspace.shape[1] < 3:
         raise ReducibleRestrictionError(
             "fiber restriction has an Ad-fixed vector (dim %d); "
-            "the representation is reducible or metabelian" % fixed.shape[1])
-    fiber_pres = fk.fiber_presentation()
-    fiber_rep = Representation(fiber_pres, fiber_images, flavor=rep.flavor,
-                               tol=tol, check=False)
+            "the representation is reducible or metabelian" % (3 - bspace.shape[1]))
     T = rep.image(fk.meridian)
     adT = adjoint(T)
-    n = len(fiber_names)
     full = np.zeros((3 * n, 3 * n), dtype=complex)
-    words = fk.monodromy_words()
-    for j in range(n):
-        for i, blk in enumerate(fox_adjoint_blocks(fiber_rep, words[j])):
+    for j, w in enumerate(fk.monodromy_words()):
+        for i, blk in enumerate(fox_adjoint_blocks(rep, w)[:n]):
             full[3 * j:3 * j + 3, 3 * i:3 * i + 3] = adT @ blk
-    d0 = np.zeros((3 * n, 3), dtype=complex)
-    for i in range(n):
-        d0[3 * i:3 * i + 3, :] = adjoint(fiber_images[i]) - np.eye(3)
-    bspace = column_space(d0, tol)
-    if bspace.shape[1] != 3:
-        raise ReducibleRestrictionError("coboundary space is degenerate")
     image = full @ bspace
     resid = np.linalg.norm(image - bspace @ (bspace.conj().T @ image))
     if resid > 1e-6 * max(1.0, np.linalg.norm(full)):
@@ -270,7 +267,7 @@ def monodromy_action(fk, rep, tol=None, complement=None):
         frame = np.hstack([bspace, comp])
         coords = np.linalg.solve(frame, full @ comp)
         quotient = coords[3:, :]
-    return MonodromyAction(full, d0, comp, quotient, fiber_rep, T)
+    return MonodromyAction(full, d0, comp, quotient, T)
 
 
 def twisted_monodromy_on_H1(fk, rep, tol=None, complement=None):
@@ -742,7 +739,13 @@ def lift_character_to_rep(fk, point, flavor=SL2C, meridian_sign=1, tol=None):
     if fk.genus != 1:
         raise InvalidInputError("character lifting is implemented for genus one")
     x1, x2, x3 = (complex(point[0]), complex(point[1]), complex(point[2]))
-    kappa = commutator_trace(x1, x2, x3)
+    try:
+        kappa = commutator_trace(x1, x2, x3)
+    except OverflowError:
+        kappa = math.inf
+    if not cmath.isfinite(kappa):
+        raise InvalidInputError("the commutator trace of (%s, %s, %s) is not a "
+                                "finite number" % (x1, x2, x3))
     if abs(kappa - 2.0) <= 1e-8:
         raise ReducibleCharacterError(
             "commutator trace is 2: the character (%s, %s, %s) is reducible"

@@ -1,8 +1,9 @@
 """Small dense linear algebra with an explicit numerical-rank policy.
 
 Everything downstream (homology, torsion, eigenvalue splitting) makes rank
-decisions through the singular-value thresholds collected in `Tolerances`,
-so the policy lives in one place and can be overridden per computation.
+decisions through one rule, `_rank`, with the singular-value thresholds
+collected in `Tolerances`, so the policy lives in one place and can be
+overridden per computation.
 """
 
 from dataclasses import dataclass, replace
@@ -43,19 +44,19 @@ def _as_matrix(m):
     return a
 
 
-def singular_values(m):
-    m = _as_matrix(m)
-    if 0 in m.shape:
-        return np.zeros(0)
-    return np.linalg.svd(m, compute_uv=False)
+def _rank(s, tol):
+    """The package's one rank rule: the number of singular values `s`
+    (descending) above tol.rank times the largest, or times 1 if that is
+    smaller."""
+    return int(np.sum(s > tol.rank * max(s[0], 1.0))) if s.size else 0
 
 
 def numerical_rank(m, tol=DEFAULT_TOL):
-    """Rank of `m` by SVD with relative threshold tol.rank * largest sv."""
-    s = singular_values(m)
-    if s.size == 0:
+    """Rank of `m` by SVD, under the rank rule."""
+    m = _as_matrix(m)
+    if 0 in m.shape:
         return 0
-    return int(np.sum(s > tol.rank * max(s[0], 1.0)))
+    return _rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def nullspace(m, tol=DEFAULT_TOL):
@@ -66,8 +67,7 @@ def nullspace(m, tol=DEFAULT_TOL):
     if m.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
     _, s, vh = np.linalg.svd(m)
-    r = int(np.sum(s > tol.rank * max(s[0] if s.size else 0.0, 1.0)))
-    return vh[r:].conj().T
+    return vh[_rank(s, tol):].conj().T
 
 
 def column_space(m, tol=DEFAULT_TOL):
@@ -76,8 +76,7 @@ def column_space(m, tol=DEFAULT_TOL):
     if 0 in m.shape:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m)
-    r = int(np.sum(s > tol.rank * max(s[0] if s.size else 0.0, 1.0)))
-    return u[:, :r]
+    return u[:, :_rank(s, tol)]
 
 
 def orthogonal_complement(basis, dim, tol=DEFAULT_TOL):
@@ -86,8 +85,7 @@ def orthogonal_complement(basis, dim, tol=DEFAULT_TOL):
     if basis.shape[1] == 0:
         return np.eye(dim, dtype=complex)
     u, s, _ = np.linalg.svd(basis, full_matrices=True)
-    r = int(np.sum(s > tol.rank * max(s[0], 1.0)))
-    return u[:, r:]
+    return u[:, _rank(s, tol):]
 
 
 def pivot_columns(m, rank):

@@ -33,12 +33,12 @@ _QK = np.array([[0, 1j], [1j, 0]], dtype=complex)
 SU2_BASIS = (_QI, _QJ, _QK)
 
 
-def is_unimodular(m, tol=DEFAULT_TOL):
+def is_unimodular(m):
     return abs(np.linalg.det(m) - 1.0) <= 1e-8
 
 
-def is_special_unitary(m, tol=DEFAULT_TOL):
-    return (is_unimodular(m, tol)
+def is_special_unitary(m):
+    return (is_unimodular(m)
             and np.linalg.norm(m @ m.conj().T - np.eye(2)) <= 1e-8)
 
 
@@ -119,9 +119,9 @@ class Representation:
         self._adjoints = {}
         if check:
             for m in self.images:
-                if not is_unimodular(m, tol):
+                if not is_unimodular(m):
                     raise ValueError("generator image is not unimodular")
-                if flavor == SU2 and not is_special_unitary(m, tol):
+                if flavor == SU2 and not is_special_unitary(m):
                     raise ValueError("generator image is not in SU(2)")
             self.check_relators()
 
@@ -179,18 +179,16 @@ class Representation:
             flavor=self.flavor, tol=self.tol, check=False)
 
 
-def fixed_lie_subspace(matrices, tol=DEFAULT_TOL):
-    """Basis of the common Ad-fixed subspace of sl2 for a family of matrices.
-
-    Zero precisely when the family has no common eigenvector with diagonal
-    character squared trivial; for a subgroup this is H^0 with adjoint
-    coefficients.
+def coboundary_matrix(images):
+    """The coboundary d0(v) = (Ad_g v - v)_g of the adjoint-twisted complex:
+    a (3n, 3) matrix of one Ad(g) - I block per image g, in (H, E, F)
+    coordinates.  Its kernel is the common Ad-fixed subspace, H^0 of the
+    group the images generate; its column space is B^1.
     """
-    from .linalg import nullspace
-    rows = [adjoint(m) - np.eye(3) for m in matrices]
-    if not rows:
-        return np.eye(3, dtype=complex)
-    return nullspace(np.vstack(rows), tol)
+    d0 = np.zeros((3 * len(images), 3), dtype=complex)
+    for i, g in enumerate(images):
+        d0[3 * i:3 * i + 3, :] = adjoint(g) - np.eye(3)
+    return d0
 
 
 def fox_adjoint_blocks(rep, word):
@@ -258,9 +256,7 @@ def twisted_cochain_complex(presentation, rep, tol=None):
     rep.check_relators()
     ng = presentation.generator_count
     nr = len(presentation.relators)
-    d0 = np.zeros((3 * ng, 3), dtype=complex)
-    for i in range(ng):
-        d0[3 * i:3 * i + 3, :] = adjoint(rep.images[i]) - np.eye(3)
+    d0 = coboundary_matrix(rep.images)
     d1 = np.zeros((3 * nr, 3 * ng), dtype=complex)
     for k, r in enumerate(presentation.relators):
         for i, block in enumerate(fox_adjoint_blocks(rep, r)):

@@ -19,8 +19,6 @@ homological convention, reversing at the complex's own top degree, before
 any torsion or sign bookkeeping happens.
 """
 
-import json
-
 import numpy as np
 
 from .linalg import (
@@ -169,41 +167,6 @@ class BasedChainComplex:
             tol=self.tol,
         )
 
-    # -- serialization (test fixtures, CLI) -----------------------------------
-
-    def to_json(self):
-        def mat(m):
-            # row-major nested lists; complex entries as [re, im] pairs
-            return [[[z.real, z.imag] for z in row] for row in m.tolist()]
-        obj = {"dims": self.dims,
-               "direction": self.direction,
-               "boundaries": [mat(b) for b in self.boundaries]}
-        if self.homology_bases is not None:
-            obj["homology_bases"] = [None if h is None else mat(h)
-                                     for h in self.homology_bases]
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text, tol=DEFAULT_TOL):
-        obj = json.loads(text)
-
-        def unmat(rows, shape):
-            if not rows:
-                return np.zeros(shape, dtype=complex)
-            return np.array([[complex(z[0], z[1]) for z in row] for row in rows])
-        dims = obj["dims"]
-        direction = obj.get("direction", "chain")
-        bnds = []
-        for i, rows in enumerate(obj["boundaries"]):
-            shape = ((dims[i], dims[i + 1]) if direction == "chain"
-                     else (dims[i + 1], dims[i]))
-            bnds.append(unmat(rows, shape))
-        hb = None
-        if obj.get("homology_bases") is not None:
-            hb = [None if h is None else unmat(h, (dims[i], 0))
-                  for i, h in enumerate(obj["homology_bases"])]
-        return cls(dims, bnds, direction=direction, homology_bases=hb, tol=tol)
-
 
 class HomologyData:
     """Per-degree cycle/boundary/homology bases of a complex (own indexing).
@@ -328,7 +291,7 @@ def torsion(cx, tol=None, rng=None):
         for k, p in enumerate(piv):
             E[p, k] = 1.0
         if rng is not None:
-            mix = _random_invertible(rng, r)
+            mix = random_invertible(rng, r)
             E = E @ mix
             K = nullspace(d, tol)
             if K.shape[1]:
@@ -365,7 +328,11 @@ def torsion(cx, tol=None, rng=None):
     return complex(value)
 
 
-def _random_invertible(rng, n):
+def random_invertible(rng, n):
+    """A random well-conditioned invertible n x n matrix: a random unitary
+    times a diagonal scaling near 1."""
+    if n == 0:
+        return np.eye(0, dtype=complex)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q @ np.diag(np.exp(0.3 * rng.standard_normal(n)))
 
@@ -438,13 +405,12 @@ def induced_map_on_homology(f_by_degree, degree, hsrc, htgt, tol=DEFAULT_TOL):
     return htgt.class_coordinates(degree, img, tol)
 
 
-def connecting_map(degree, incl, proj, c_total, hsub, htotal, hquot, tol=DEFAULT_TOL):
+def connecting_map(degree, incl, proj, c_total, hsub, hquot, tol=DEFAULT_TOL):
     """Connecting homomorphism H_degree(C'') -> H_{degree-1}(C') of a
     degreewise short exact sequence, computed by the usual zig-zag.
 
     incl, proj are per-degree matrices C'_i -> C_i and C_i -> C''_i.
     """
-    del htotal
     if degree == 0:
         raise ValueError("no connecting map out of degree 0")
     out = []
@@ -488,7 +454,7 @@ def long_exact_sequence(c_sub, c_total, c_quot, incl, proj, tol=DEFAULT_TOL,
         diffs.append(induced_map_on_homology(incl, i, hs, ht, tol))
         if i < n:
             # H_{i+1}(C'') -> H_i(C')
-            diffs.append(connecting_map(i + 1, incl, proj, c_total, hs, ht, hq, tol))
+            diffs.append(connecting_map(i + 1, incl, proj, c_total, hs, hq, tol))
     return BasedChainComplex(dims, diffs, direction="chain", tol=tol)
 
 

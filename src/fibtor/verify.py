@@ -30,6 +30,7 @@ from .torsion import (
     change_of_basis_det,
     homology,
     multiplicativity_check,
+    random_invertible,
     torsion,
 )
 from .words import GroupPresentation
@@ -70,17 +71,10 @@ def random_based_complex(rng, max_degree=4, max_dim=6):
     eff = homology(cx).dims
     hb = [hb[i][:, :eff[i]] for i in range(n + 1)]
     # random changes of basis
-    mats = [_well_conditioned(rng, m) for m in dims]
+    mats = [random_invertible(rng, m) for m in dims]
     nds = [np.linalg.inv(mats[i - 1]) @ ds[i - 1] @ mats[i] for i in range(1, n + 1)]
     nhb = [np.linalg.inv(mats[i]) @ hb[i] for i in range(n + 1)]
     return BasedChainComplex(dims, nds, direction="chain", homology_bases=nhb)
-
-
-def _well_conditioned(rng, m):
-    if m == 0:
-        return np.eye(0, dtype=complex)
-    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-    return q @ np.diag(np.exp(0.3 * rng.standard_normal(m)))
 
 
 def random_block_sum_ses(rng, max_degree=3):
@@ -107,7 +101,7 @@ def random_block_sum_ses(rng, max_degree=3):
         z[:c1.dims[i], :k1] = c1.homology_bases[i]
         z[c1.dims[i]:, k1:] = c2.homology_bases[i]
         if k1 + k2:
-            z = z @ _well_conditioned(rng, k1 + k2)
+            z = z @ random_invertible(rng, k1 + k2)
         hb.append(z)
     total = BasedChainComplex(dims, ds, direction="chain", homology_bases=hb)
     incl, proj = [], []
@@ -168,7 +162,7 @@ def check_torsion_core_basis_change(rng, perturb=False):
         cx = random_based_complex(rng)
         t0 = torsion(cx)
         n = cx.top_degree
-        mats = [_well_conditioned(rng, m) for m in cx.dims]
+        mats = [random_invertible(rng, m) for m in cx.dims]
         nds = [np.linalg.inv(mats[i - 1]) @ cx.boundaries[i - 1] @ mats[i]
                for i in range(1, n + 1)]
         expected_ratio = 1.0 + 0j
@@ -178,7 +172,7 @@ def check_torsion_core_basis_change(rng, perturb=False):
             nh = np.linalg.inv(mats[i]) @ h
             k = h.shape[1]
             if k:
-                q = _well_conditioned(rng, k)
+                q = random_invertible(rng, k)
                 nh = nh @ q
                 det_h = np.linalg.det(q)
             else:

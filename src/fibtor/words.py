@@ -5,8 +5,6 @@ fixtures and the command line is whitespace-separated generator names with
 an uppercase initial letter marking the inverse: "a B t" is a b^-1 t.
 """
 
-import json
-
 
 class Word:
     """A word in a free group, stored as a tuple of (generator, exponent).
@@ -106,17 +104,6 @@ class GroupPresentation:
 
     def word(self, text):
         return Word.from_string(text, self.generators)
-
-    def to_json(self):
-        return json.dumps({
-            "generators": self.generators,
-            "relators": [r.to_string(self.generators) for r in self.relators],
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(obj["generators"], obj.get("relators", []))
 
     def __repr__(self):
         rels = ", ".join(r.to_string(self.generators) for r in self.relators)

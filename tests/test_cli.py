@@ -202,6 +202,62 @@ def test_malformed_knot_file_is_invalid_input(tmp_path, capsys, case):
     assert not probe.exists()
 
 
+# argv (a file's path spelled "{path}") and the file's bytes, if any
+BAD_INPUTS = {
+    "rep_file_without_images": (
+        ["compute", "--knot", "figure_eight", "--rep-file", "{path}"], b'{"imgs": {}}'),
+    "rep_file_integer_entries": (
+        ["compute", "--knot", "figure_eight", "--rep-file", "{path}"],
+        b'{"images": {"a": [[1, 0], [0, 1]]}}'),
+    "knot_file_not_utf8": (
+        ["compute", "--knot-file", "{path}", "--x", "1,1,1"], b"\xff\xfe\x7b"),
+    "grid_repeated_coordinate": (
+        ["sweep", "--knot", "trefoil", "--grid", "x=0:1:2,x=0:1:3"], None),
+    "grid_step_count_not_integer": (
+        ["sweep", "--knot", "trefoil", "--grid", "x=0:1:abc"], None),
+    "torus_index_not_number": (["compute", "--knot", "torus(2,5)", "--x", "1,abc"], None),
+    "x_not_finite": (["compute", "--knot", "trefoil", "--x", "nan,1,1"], None),
+    "x_trace_overflows": (["compute", "--knot", "trefoil", "--x", "1e200,1,1"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_invalid_input(tmp_path, capsys, case):
+    argv, content = BAD_INPUTS[case]
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    code = main([a.replace("{path}", str(path)) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error[INVALID_INPUT]: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def _matrix(m):
+    return [[[complex(z).real, complex(z).imag] for z in row] for row in m]
+
+
+_W = complex(-0.5, 3 ** 0.5 / 2)  # e^{2 pi i / 3}
+
+
+@pytest.mark.parametrize("images, dim", [
+    # dihedral: a = b diagonal of order 3, t swaps the eigenlines; H fixed
+    ({"a": [[_W, 0], [0, _W.conjugate()]], "b": [[_W, 0], [0, _W.conjugate()]],
+      "t": [[0, 1], [-1, 0]]}, 1),
+    ({"a": [[1, 0], [0, 1]], "b": [[1, 0], [0, 1]], "t": [[1, 0], [0, 1]]}, 3),
+], ids=["dihedral", "trivial"])
+def test_rep_file_with_reducible_fiber_restriction(tmp_path, capsys, images, dim):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"images": {g: _matrix(m) for g, m in images.items()}}))
+    code = main(["compute", "--knot", "trefoil", "--rep-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error[REDUCIBLE_RESTRICTION]: fiber restriction has an "
+                          "Ad-fixed vector (dim %d); " % dim)
+
+
 def test_runtime_does_not_import_sympy():
     # every subcommand and every verify check, in a fresh interpreter
     script = "\n".join([

@@ -13,11 +13,13 @@ import sympy
 from fibtor import (
     DegenerateMonodromyError,
     FiberedKnot,
+    GroupPresentation,
     InvalidInputError,
     NonSimpleUnitEigenvalueError,
     NotFixedPointError,
     NoUnitEigenvalueError,
     ReducibleCharacterError,
+    Representation,
     SU2,
     TraceCoordMap,
     Word,
@@ -105,6 +107,17 @@ def test_trefoil_twisted_monodromy_eigenvalues():
         m = twisted_monodromy_on_H1(fk, rep)
         assert m.shape == (3, 3)
         assert multiset_distance(np.linalg.eigvals(m), expected) < 1e-9
+
+
+def test_monodromy_action_needs_the_knot_presentation():
+    # Fox blocks are read by generator position, so a representation whose
+    # generators come in another order is refused rather than misread
+    fk = trefoil()
+    rep = lift_character_to_rep(fk, (1.0, 1.0, 1.0))
+    swapped = Representation(GroupPresentation(["b", "a", "t"], []),
+                             [rep.image(g) for g in ("b", "a", "t")])
+    with pytest.raises(InvalidInputError):
+        monodromy_action(fk, swapped)
 
 
 def test_figure_eight_holonomy_unit_eigenvalue_simple():

@@ -27,7 +27,6 @@ from fibtor import (
 )
 from fibtor.rep import (
     SL2_BASIS,
-    fixed_lie_subspace,
     fox_adjoint_blocks,
     lie_coordinates,
     sl2_inverse,
@@ -65,13 +64,6 @@ def test_word_inverse():
 def test_unknown_generator_rejected():
     with pytest.raises(ValueError):
         Word.from_string("a c", ["a", "b"])
-
-
-def test_presentation_json_roundtrip():
-    pres = GroupPresentation(["a", "b", "t"], ["T a t B A", "T b t B A B"])
-    again = GroupPresentation.from_json(pres.to_json())
-    assert again.generators == pres.generators
-    assert again.relators == pres.relators
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -352,7 +344,6 @@ def test_free_group_twisted_dimensions():
     rep = Representation(pres, [A, B])
     cx = twisted_cochain_complex(pres, rep)
     assert homology(cx).dims == [0, 3, 0]
-    assert fixed_lie_subspace([A, B]).shape[1] == 0
 
 
 def test_twisted_complex_euler_characteristic():
