@@ -43,7 +43,6 @@ from .rep import (
     Representation,
     adjoint,
     commutator_trace,
-    killing_form,
     su2_pair,
     twisted_cochain_complex,
 )
@@ -59,7 +58,6 @@ from .fibered import (
     lift_character_to_rep,
     main_theorem_torsion,
     torus_closed_form,
-    twisted_monodromy_on_H1,
     wang_exact_sequence,
     wang_product_check,
     wang_sequence_torsion,

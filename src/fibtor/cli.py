@@ -14,6 +14,7 @@ import argparse
 import cmath
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,6 +33,7 @@ from .verify import run_checks
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
+MAX_SWEEP_ROWS = 1_000_000
 
 
 def _fmt_float(x):
@@ -143,8 +145,8 @@ def cmd_compute(args):
             raise InvalidInputError(
                 "torus knots take --x a,b (representation indices)")
         try:
-            parts = [int(float(v)) for v in args.x.split(",")]
-        except (OverflowError, ValueError) as exc:
+            parts = [int(v) for v in args.x.split(",")]
+        except ValueError as exc:
             raise InvalidInputError("torus knots take integers --x a,b (%s)" % exc) from exc
         if len(parts) != 2:
             raise InvalidInputError("torus knots take --x a,b")
@@ -162,16 +164,17 @@ def cmd_compute(args):
 
 def _parse_grid(spec):
     """Parse "name=start:stop:steps[,name=...]" into an ordered dict of
-    value arrays."""
+    value arrays.  Grids of more than MAX_SWEEP_ROWS rows are refused before
+    any array is allocated."""
     if not spec or not spec.strip():
         raise InvalidInputError("empty grid")
-    grid = {}
+    ranges = {}
     for part in spec.split(","):
         if "=" not in part:
             raise InvalidInputError("grid entries look like name=start:stop:steps")
         name, rng = part.split("=", 1)
         name = name.strip()
-        if name in grid:
+        if name in ranges:
             raise InvalidInputError("grid coordinate %r is given twice" % name)
         pieces = rng.split(":")
         if len(pieces) != 3:
@@ -185,8 +188,12 @@ def _parse_grid(spec):
             raise InvalidInputError("step counts must be >= 1")
         if not (np.isfinite(start) and np.isfinite(stop)):
             raise InvalidInputError("grid ranges must be finite")
-        grid[name] = np.linspace(start, stop, steps)
-    return grid
+        ranges[name] = (start, stop, steps)
+    rows = math.prod(steps for _, _, steps in ranges.values())
+    if rows > MAX_SWEEP_ROWS:
+        raise InvalidInputError("grid has %d rows; sweeps are capped at %d"
+                                % (rows, MAX_SWEEP_ROWS))
+    return {name: np.linspace(*r) for name, r in ranges.items()}
 
 
 def _character_from_params(fk, params):

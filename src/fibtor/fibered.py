@@ -215,7 +215,7 @@ class MonodromyAction:
     meridian_image: np.ndarray
 
 
-def monodromy_action(fk, rep, tol=None, complement=None):
+def monodromy_action(fk, rep, tol=None):
     """Compute the action of the monodromy on H^1(F; sl2_phi).
 
     `rep` is a representation of `fk.presentation()`, whose first 2g
@@ -228,10 +228,9 @@ def monodromy_action(fk, rep, tol=None, complement=None):
     the fiber images; its rank is 3 exactly when the fiber restriction has
     no Ad-fixed vector (H^0(F) = 0), which is required.  B^1 is checked to
     be preserved, and the induced map on the quotient H^1 = C^1/B^1 is
-    returned with its scaffolding.
-
-    `complement` overrides the quotient model with any column basis
-    complementing B^1 (the induced eigenvalues cannot depend on it).
+    returned with its scaffolding.  The quotient is modelled on the
+    orthogonal complement of B^1; the induced eigenvalues do not depend on
+    that choice.
     """
     tol = tol or rep.tol
     n = len(fk.fiber_generators)
@@ -257,22 +256,9 @@ def monodromy_action(fk, rep, tol=None, complement=None):
             "monodromy action does not preserve the coboundary space "
             "(residual %.3e); the representation violates the mapping-torus "
             "relators" % resid)
-    if complement is None:
-        comp = orthogonal_complement(bspace, 3 * n, tol)
-        quotient = comp.conj().T @ full @ comp
-    else:
-        comp = np.asarray(complement, dtype=complex)
-        if comp.shape != (3 * n, 3 * n - 3):
-            raise InvalidInputError("complement must have shape (6g, 6g-3)")
-        frame = np.hstack([bspace, comp])
-        coords = np.linalg.solve(frame, full @ comp)
-        quotient = coords[3:, :]
+    comp = orthogonal_complement(bspace, 3 * n, tol)
+    quotient = comp.conj().T @ full @ comp
     return MonodromyAction(full, d0, comp, quotient, T)
-
-
-def twisted_monodromy_on_H1(fk, rep, tol=None, complement=None):
-    """Matrix (size 6g-3) of the twisted monodromy on H^1(F; sl2_phi)."""
-    return monodromy_action(fk, rep, tol, complement).quotient
 
 
 def eigenvalues_excluding_one(m, tol=1e-6):

@@ -1,13 +1,16 @@
-"""SL2(C) and SU(2) representations, the adjoint action, and the Killing form.
+"""SL2(C) and SU(2) representations, the adjoint action, and twisted
+cochain complexes.
 
 The Lie algebra sl2(C) is the traceless 2x2 matrices, with ordered basis
 
-    H = [[1, 0], [0, -1]],  E = [[0, 1], [0, 0]],  F = [[0, 0], [1, 0]];
+    H = [[1, 0], [0, -1]],  E = [[0, 1], [0, 0]],  F = [[0, 0], [1, 0]],
 
-su(2) is identified with the pure quaternions with ordered basis (i, j, k).
-Adjoint matrices and twisted cochain complexes are always expressed in the
-(H, E, F) coordinates; the su(2) basis only enters the Killing form and
-reporting of su(2)-flavored Lie vectors.
+and the coordinates of [[a, b], [c, -a]] are (a, b, c).  Adjoint matrices and
+twisted cochain complexes are expressed in these (H, E, F) coordinates for
+SU(2) representations too.  No other basis is needed: the eigenvalues of the
+monodromy on H^1(F; sl2_rho) do not depend on the basis, and a change of
+coefficient basis scales the torsion of the exterior by its determinant to the
+power of the Euler characteristic, which is 0.
 """
 
 import numpy as np
@@ -26,12 +29,6 @@ _F = np.array([[0, 0], [1, 0]], dtype=complex)
 SL2_BASIS = (_H, _E, _F)
 _SL2_STACK = np.array(SL2_BASIS)
 
-# pure quaternions as 2x2 matrices: i, j, k
-_QI = np.array([[1j, 0], [0, -1j]], dtype=complex)
-_QJ = np.array([[0, 1], [-1, 0]], dtype=complex)
-_QK = np.array([[0, 1j], [1j, 0]], dtype=complex)
-SU2_BASIS = (_QI, _QJ, _QK)
-
 
 def is_unimodular(m):
     return abs(np.linalg.det(m) - 1.0) <= 1e-8
@@ -43,48 +40,26 @@ def is_special_unitary(m):
 
 
 def sl2_inverse(m):
-    """Inverse of a determinant-1 matrix, by the adjugate."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-
-
-def lie_coordinates(m, flavor=SL2C):
-    """Coordinates of a traceless matrix in the flavor's ordered basis."""
-    m = np.asarray(m, dtype=complex)
-    if flavor == SL2C:
-        return np.array([m[0, 0], m[0, 1], m[1, 0]], dtype=complex)
-    # q = a i + b j + c k  <->  [[ia, b + ic], [-b + ic, -ia]]
-    return np.array([m[0, 0] / 1j, m[0, 1].real, m[0, 1].imag], dtype=complex)
-
-
-def adjoint(g, flavor=SL2C):
-    """Matrix of Ad_g : v -> g v g^-1 in the flavor's Lie-algebra basis.
-
-    For g in SL2(C) this is a 3x3 matrix of determinant 1; for g in SU(2)
-    in the quaternion basis it is the familiar SO(3) rotation.
-    """
-    g = np.asarray(g, dtype=complex)
-    gi = sl2_inverse(g)
-    basis = SL2_BASIS if flavor == SL2C else SU2_BASIS
-    cols = [lie_coordinates(g @ b @ gi, flavor) for b in basis]
-    out = np.column_stack(cols)
-    if flavor == SU2:
-        out = out.real
+    """Inverse of a determinant-1 matrix, or of each matrix of a stack
+    (..., 2, 2), by the adjugate: an exact sign-and-swap."""
+    m = np.asarray(m)
+    out = np.empty(m.shape, dtype=complex)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
     return out
 
 
-def killing_form(u, v, flavor=SL2C):
-    """Killing form in the fixed coordinates.
-
-    sl2(C): for matrices [[a, b], [c, -a]] the value is 8aa' + 4(bc' + cb').
-    su(2): -2 times the Euclidean scalar product of quaternion coordinates.
+def adjoint(g):
+    """Matrix of Ad_g : v -> g v g^-1 in the (H, E, F) coordinates: a 3x3
+    matrix of determinant 1 for one g in SL2(C), or a (..., 3, 3) stack for a
+    stack (..., 2, 2).  Column j holds the coordinates (entries 00, 01, 10)
+    of (g b_j) g^-1 for the basis element b_j.
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != (3,) or v.shape != (3,):
-        raise ValueError("Lie vectors have three coordinates")
-    if flavor == SL2C:
-        return complex(8 * u[0] * v[0] + 4 * (u[1] * v[2] + u[2] * v[1]))
-    return complex(-2 * np.dot(u, v))
+    g = np.asarray(g, dtype=complex)
+    images = g[..., None, :, :] @ _SL2_STACK @ sl2_inverse(g)[..., None, :, :]
+    return images.reshape(g.shape[:-2] + (3, 4))[..., :3].swapaxes(-1, -2)
 
 
 def commutator_trace(x1, x2, x3):
@@ -185,10 +160,7 @@ def coboundary_matrix(images):
     coordinates.  Its kernel is the common Ad-fixed subspace, H^0 of the
     group the images generate; its column space is B^1.
     """
-    d0 = np.zeros((3 * len(images), 3), dtype=complex)
-    for i, g in enumerate(images):
-        d0[3 * i:3 * i + 3, :] = adjoint(g) - np.eye(3)
-    return d0
+    return (adjoint(images) - np.eye(3)).reshape(-1, 3)
 
 
 def fox_adjoint_blocks(rep, word):
@@ -218,17 +190,7 @@ def fox_adjoint_blocks(rep, word):
         else:
             p = p @ rep._inverses[g]
             prefixes[k] = p
-    # the adjugate, as in sl2_inverse: exact sign-and-swap
-    inverses = np.empty_like(prefixes)
-    inverses[:, 0, 0] = prefixes[:, 1, 1]
-    inverses[:, 0, 1] = -prefixes[:, 0, 1]
-    inverses[:, 1, 0] = -prefixes[:, 1, 0]
-    inverses[:, 1, 1] = prefixes[:, 0, 0]
-    # images of the (H, E, F) basis under each Ad(prefix), and their
-    # (H, E, F) coordinates (entries 00, 01, 10), as in adjoint():
-    # terms[k, :, j] = Ad(p_k) b_j
-    images = prefixes[:, None] @ _SL2_STACK @ inverses[:, None]
-    terms = images.reshape(len(letters), 3, 4)[:, :, :3].transpose(0, 2, 1)
+    terms = adjoint(prefixes)
     gens, exps = np.array(letters).T
     np.negative(terms, out=terms, where=(exps == -1)[:, None, None])
     # row i holds generator i's terms in word order and +0.0 elsewhere; its

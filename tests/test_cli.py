@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
-from fibtor.cli import main
+import numpy as np
+
+from fibtor.cli import MAX_SWEEP_ROWS, _parse_grid, main
+from fibtor.errors import InvalidInputError
 
 CMD = [sys.executable, "-m", "fibtor.cli"]
 
@@ -216,6 +219,11 @@ BAD_INPUTS = {
     "grid_step_count_not_integer": (
         ["sweep", "--knot", "trefoil", "--grid", "x=0:1:abc"], None),
     "torus_index_not_number": (["compute", "--knot", "torus(2,5)", "--x", "1,abc"], None),
+    "torus_index_not_integer": (["compute", "--knot", "torus(2,5)", "--x", "1.9,1"], None),
+    # numpy refuses this step count without allocating, so the case is safe
+    # to run without the cap too
+    "grid_too_large": (
+        ["sweep", "--knot", "trefoil", "--grid", "x=0:1:100000000000000000000"], None),
     "x_not_finite": (["compute", "--knot", "trefoil", "--x", "nan,1,1"], None),
     "x_trace_overflows": (["compute", "--knot", "trefoil", "--x", "1e200,1,1"], None),
 }
@@ -233,6 +241,21 @@ def test_bad_input_is_invalid_input(tmp_path, capsys, case):
     assert err.startswith("error[INVALID_INPUT]: ")
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["x=0:1:1000001", "x1=0:1:1000,x2=0:1:1000,x3=0:1:2"])
+def test_oversized_grid_is_refused_before_allocation(monkeypatch, spec):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("grid values were allocated")
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    with pytest.raises(InvalidInputError, match="capped at %d" % MAX_SWEEP_ROWS):
+        _parse_grid(spec)
+
+
+def test_grid_at_the_row_cap_is_accepted():
+    grid = _parse_grid("x1=0:1:1000,x2=0:1:1000")
+    assert MAX_SWEEP_ROWS == 1000 * 1000
+    assert [len(v) for v in grid.values()] == [1000, 1000]
 
 
 def _matrix(m):

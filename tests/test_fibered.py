@@ -36,7 +36,6 @@ from fibtor import (
     torus_closed_form,
     trefoil,
     twisted_cochain_complex,
-    twisted_monodromy_on_H1,
     wang_exact_sequence,
     wang_product_check,
     wang_sequence_torsion,
@@ -48,6 +47,7 @@ from fibtor.fibered import (
     random_conjugate,
     trace_polynomial,
 )
+from fibtor.linalg import column_space
 from fibtor.verify import multiset_distance
 
 rng = np.random.default_rng(99)
@@ -104,7 +104,7 @@ def test_trefoil_twisted_monodromy_eigenvalues():
     expected = [1.0, omega, omega.conjugate()]
     for x in (0.3, 1.0, 1.5):
         rep = lift_character_to_rep(fk, (x, x, x), flavor=SU2)
-        m = twisted_monodromy_on_H1(fk, rep)
+        m = monodromy_action(fk, rep).quotient
         assert m.shape == (3, 3)
         assert multiset_distance(np.linalg.eigvals(m), expected) < 1e-9
 
@@ -123,7 +123,7 @@ def test_monodromy_action_needs_the_knot_presentation():
 def test_figure_eight_holonomy_unit_eigenvalue_simple():
     from fibtor import holonomy_representation
     fk, rep = holonomy_representation(1)
-    m = twisted_monodromy_on_H1(fk, rep)
+    m = monodromy_action(fk, rep).quotient
     evs = np.linalg.eigvals(m)
     near_one = np.sum(np.abs(evs - 1.0) < 1e-6)
     assert near_one == 1
@@ -132,19 +132,22 @@ def test_figure_eight_holonomy_unit_eigenvalue_simple():
 def test_quotient_complement_choice_immaterial():
     fk = figure_eight()
     rep = lift_character_to_rep(fk, fig8_locus_point(0.3))
-    m0 = twisted_monodromy_on_H1(fk, rep)
     g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     act = monodromy_action(fk, rep)
+    m0 = act.quotient
     comp = act.complement + 0.3 * act.coboundaries @ (
         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    m1 = twisted_monodromy_on_H1(fk, rep, complement=comp)
+    # the induced map in the perturbed complement: coordinates of the image
+    # of comp in the frame (B^1, comp), with the B^1 part dropped
+    frame = np.hstack([column_space(act.coboundaries), comp])
+    m1 = np.linalg.solve(frame, act.full @ comp)[3:]
     assert multiset_distance(np.linalg.eigvals(m0), np.linalg.eigvals(m1)) < 1e-9
 
 
 def test_unit_eigenvector_is_unique_up_to_scale():
     fk = figure_eight()
     rep = lift_character_to_rep(fk, fig8_locus_point(2.0 + 0.5j))
-    m = twisted_monodromy_on_H1(fk, rep)
+    m = monodromy_action(fk, rep).quotient
     assert np.linalg.matrix_rank(m - np.eye(3), tol=1e-8) == 2
 
 

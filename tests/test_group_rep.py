@@ -1,5 +1,5 @@
-"""Words, Fox calculus, SL2/SU(2) representations, adjoint action, Killing
-form, twisted cochain complexes."""
+"""Words, Fox calculus, SL2/SU(2) representations, adjoint action, twisted
+cochain complexes."""
 
 import cmath
 
@@ -19,7 +19,6 @@ from fibtor import (
     figure_eight,
     fox_derivative,
     homology,
-    killing_form,
     lift_character_to_rep,
     su2_pair,
     trefoil,
@@ -27,8 +26,8 @@ from fibtor import (
 )
 from fibtor.rep import (
     SL2_BASIS,
+    coboundary_matrix,
     fox_adjoint_blocks,
-    lie_coordinates,
     sl2_inverse,
 )
 
@@ -260,31 +259,38 @@ def test_adjoint_matches_conjugation_on_basis():
     gi = sl2_inverse(g)
     A = adjoint(g)
     for k, X in enumerate(SL2_BASIS):
-        direct = lie_coordinates(g @ X @ gi)
+        image = g @ X @ gi
+        direct = np.array([image[0, 0], image[0, 1], image[1, 0]])
         assert np.allclose(A[:, k], direct, atol=1e-12)
 
 
-def test_killing_form_values_sl2():
-    H = np.array([1.0, 0.0, 0.0])
-    E = np.array([0.0, 1.0, 0.0])
-    F = np.array([0.0, 0.0, 1.0])
-    assert killing_form(H, H) == pytest.approx(8.0)
-    assert killing_form(E, F) == pytest.approx(4.0)
-    assert killing_form(E, E) == pytest.approx(0.0)
+def _explicit_adjoint(g):
+    """Ad(g) column by column: the (H, E, F) coordinates, entries 00, 01 and
+    10, of (g @ b) @ sl2_inverse(g) for each basis element b."""
+    gi = sl2_inverse(g)
+    out = np.empty((3, 3), dtype=complex)
+    for j, b in enumerate(SL2_BASIS):
+        image = (g @ b) @ gi
+        out[:, j] = [image[0, 0], image[0, 1], image[1, 0]]
+    return out
 
 
-def test_killing_form_values_su2():
-    i = np.array([1.0, 0.0, 0.0])
-    assert killing_form(i, i, flavor=SU2) == pytest.approx(-2.0)
-
-
-def test_killing_form_ad_invariance():
-    for _ in range(10):
-        g = random_sl2()
-        A = adjoint(g)
-        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert abs(killing_form(A @ u, A @ v) - killing_form(u, v)) < 1e-9
+def test_one_adjoint_for_single_matrices_stacks_and_coboundaries():
+    # the single, stacked and coboundary forms of Ad repeat the explicit
+    # conjugation bit for bit
+    gs = [random_sl2() for _ in range(5)]
+    for g in gs:
+        assert adjoint(g).shape == (3, 3)
+        assert adjoint(g).tobytes() == _explicit_adjoint(g).tobytes()
+    stacked = adjoint(np.array(gs))
+    assert stacked.shape == (5, 3, 3)
+    for g, blk in zip(gs, stacked):
+        assert blk.tobytes() == _explicit_adjoint(g).tobytes()
+    d0 = coboundary_matrix(gs)
+    assert d0.shape == (15, 3)
+    for i, g in enumerate(gs):
+        expected = _explicit_adjoint(g) - np.eye(3)
+        assert d0[3 * i:3 * i + 3].tobytes() == expected.tobytes()
 
 
 # -- commutator trace ------------------------------------------------------------------
@@ -394,15 +400,3 @@ def test_su2_pair_traces():
 def test_su2_pair_unrealizable():
     with pytest.raises(ValueError):
         su2_pair(1.9, 1.9, -1.9)
-
-
-def test_su2_adjoint_is_rotation():
-    A, B = su2_pair(0.7, -0.4, 1.1)
-    for g in (A, B, A @ B):
-        R = adjoint(g, flavor=SU2)
-        assert np.allclose(R.imag, 0, atol=1e-12)
-        assert np.allclose(R @ R.T, np.eye(3), atol=1e-10)
-        assert np.linalg.det(R) == pytest.approx(1.0)
-    assert np.allclose(adjoint(A @ B, flavor=SU2),
-                       adjoint(A, flavor=SU2) @ adjoint(B, flavor=SU2),
-                       atol=1e-10)
