@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateMonodromyError,
@@ -97,9 +96,6 @@ class FiberedKnot:
                 "det(I - abelianized monodromy) = 0; not a fibered-knot monodromy")
 
     # -- presentations ---------------------------------------------------------
-
-    def fiber_presentation(self):
-        return GroupPresentation(self.fiber_generators, [])
 
     def presentation(self):
         """The mapping-torus presentation of the knot group, meridian last."""
@@ -376,9 +372,9 @@ def jacobian_torsion(fk, point, tol=DEFAULT_TOL):
 
 
 def _unit_last_basis(mq, tol_unit):
-    """Basis in which the monodromy action on H^1 is upper triangular with
-    the unit eigenvector as the last basis vector (so the matrix's last
-    column is e_last)."""
+    """Basis in which the monodromy action on H^1 is block diagonal: the
+    invariant subspace of the non-unit eigenvalues first, the unit
+    eigenvector last (so the matrix's last row and column are e_last)."""
     n = mq.shape[0]
     evs, vecs = np.linalg.eig(mq)
     near = [k for k in range(n) if abs(evs[k] - 1.0) < tol_unit]
@@ -388,15 +384,10 @@ def _unit_last_basis(mq, tol_unit):
         raise NonSimpleUnitEigenvalueError("unit eigenvalue is not simple")
     u = vecs[:, near[0]]
     u = u / np.linalg.norm(u)
-    # invariant subspace of the non-unit spectrum, from a sorted Schur form
-    tt, zz, sdim = scipy.linalg.schur(
-        mq, output="complex", sort=lambda z: abs(z - 1.0) > tol_unit)
-    if sdim != n - 1:
-        raise NonSimpleUnitEigenvalueError(
-            "Schur sorting found %d non-unit eigenvalues, expected %d"
-            % (sdim, n - 1))
-    basis = np.column_stack([zz[:, :n - 1], u])
-    return basis
+    # with 1 a simple eigenvalue, the image of mq - I is the invariant
+    # subspace of the other eigenvalues: its n - 1 leading left singular vectors
+    left, _, _ = np.linalg.svd(mq - np.eye(n))
+    return np.column_stack([left[:, :n - 1], u])
 
 
 def wang_complex(fk, rep, tol=None):
@@ -404,20 +395,20 @@ def wang_complex(fk, rep, tol=None):
 
         0 -> H^1(M) -> H^1(F) -> H^1(F) -> H^2(M) -> 0
 
-    with the upper-triangularizing basis (unit eigenvector last) on both
+    with the block-diagonalizing basis (unit eigenvector last) on both
     H^1(F) slots, H^1(M) based so its image is that last basis vector, and
     H^2(M) based by the image of the last basis vector under the connecting
     map.  Returns (complex, action, basis)."""
     tol = tol or rep.tol
     act = monodromy_action(fk, rep, tol)
     basis = _unit_last_basis(act.quotient, tol.unit_eigenvalue)
-    mq_tri = np.linalg.solve(basis, act.quotient @ basis)
-    n = mq_tri.shape[0]
+    mq_block = np.linalg.solve(basis, act.quotient @ basis)
+    n = mq_block.shape[0]
     last = np.zeros((n, 1), dtype=complex)
     last[n - 1, 0] = 1.0
     cochain = BasedChainComplex(
         [1, n, n, 1],
-        [last, np.eye(n, dtype=complex) - mq_tri, last.T.copy()],
+        [last, np.eye(n, dtype=complex) - mq_block, last.T.copy()],
         direction="cochain",
         tol=tol,
     )
@@ -746,14 +737,13 @@ def lift_character_to_rep(fk, point, flavor=SL2C, meridian_sign=1, tol=None):
     else:
         A, B = _normal_form_pair(x1, x2, x3)
 
-    fiber_pres = fk.fiber_presentation()
-    fiber_rep = Representation(fiber_pres, [A, B], flavor=flavor, tol=tol,
-                               check=False)
-    words = fk.monodromy_words()
+    letters = ((A, sl2_inverse(A)), (B, sl2_inverse(B)))
     eye = np.eye(2)
     rows = []
-    for w, target in zip(words, [A, B]):
-        X = fiber_rep.evaluate_word(w)
+    for w, target in zip(fk.monodromy_words(), [A, B]):
+        X = np.eye(2, dtype=complex)
+        for g, e in w:
+            X = X @ letters[g][e == -1]
         rows.append(np.kron(X.T, eye) - np.kron(eye, target))
     system = np.vstack(rows)
     _, svals, vh = np.linalg.svd(system)

@@ -3,13 +3,13 @@
 Everything downstream (homology, torsion, eigenvalue splitting) makes rank
 decisions through one rule, `_rank`, with the singular-value thresholds
 collected in `Tolerances`, so the policy lives in one place and can be
-overridden per computation.
+overridden per computation.  Ranks and orthonormal bases all come from numpy
+SVDs; numpy is the only dependency.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,6 @@ def orthogonal_complement(basis, dim, tol=DEFAULT_TOL):
         return np.eye(dim, dtype=complex)
     u, s, _ = np.linalg.svd(basis, full_matrices=True)
     return u[:, _rank(s, tol):]
-
-
-def pivot_columns(m, rank):
-    """Indices of `rank` well-conditioned columns of `m` (QR column pivoting).
-
-    Deterministic, so repeated torsion evaluations are byte-stable.
-    """
-    if rank == 0:
-        return []
-    m = _as_matrix(m)
-    _, _, piv = scipy.linalg.qr(m, pivoting=True)
-    return sorted(int(p) for p in piv[:rank])
 
 
 def solve_in_span(basis, vectors, tol=DEFAULT_TOL):

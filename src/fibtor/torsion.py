@@ -7,7 +7,9 @@ h^i for the homology carries the torsion
 
 where b^i is any family in C_i whose image under d_i is a basis of the
 boundary space B_{i-1}, and h~^i is any lift of h^i into the cycle space
-Z_i.  The value does not depend on the choices of b^i and h~^i; the
+Z_i.  The value does not depend on the choices of b^i and h~^i (Milnor); here
+b^i consists of the leading right singular vectors of d_i, as many as its
+rank under the `linalg` rank rule, from one numpy SVD per differential.  The
 sign-determined refinement multiplies by (-1)^{|C_*|} with
 
     |C_*| = sum_k alpha_k beta_k,
@@ -23,10 +25,10 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _rank,
     column_space,
     nullspace,
     numerical_rank,
-    pivot_columns,
     solve_in_span,
 )
 
@@ -273,27 +275,18 @@ def torsion(cx, tol=None, rng=None):
     hdata = homology(c, tol)
     hbases = _resolve_homology_bases(c, hdata, tol)
 
-    # rank of each differential d_i : C_i -> C_{i-1}
+    # one SVD per differential d_i : C_i -> C_{i-1} gives its rank r and
+    # b^i: the leading r right singular vectors, which d_i maps onto a basis
+    # of B_{i-1}; the remaining ones span ker d_i
     ranks = [0] * (n + 2)
-    for i in range(1, n + 1):
-        ranks[i] = numerical_rank(c.boundaries[i - 1], tol)
-
-    # b^i: columns of C_i mapping to a basis of B_{i-1}
     bfam = [None] * (n + 1)
     for i in range(1, n + 1):
-        d = c.boundaries[i - 1]
-        r = ranks[i]
-        if r == 0:
-            bfam[i] = np.zeros((c.dims[i], 0), dtype=complex)
-            continue
-        piv = pivot_columns(d, r)
-        E = np.zeros((c.dims[i], r), dtype=complex)
-        for k, p in enumerate(piv):
-            E[p, k] = 1.0
-        if rng is not None:
-            mix = random_invertible(rng, r)
-            E = E @ mix
-            K = nullspace(d, tol)
+        _, s, vh = np.linalg.svd(c.boundaries[i - 1])
+        r = ranks[i] = _rank(s, tol)
+        E = vh[:r].conj().T
+        if rng is not None and r:
+            E = E @ random_invertible(rng, r)
+            K = vh[r:].conj().T
             if K.shape[1]:
                 E = E + K @ (rng.standard_normal((K.shape[1], r))
                              + 1j * rng.standard_normal((K.shape[1], r)))

@@ -14,25 +14,29 @@ from fibtor.errors import InvalidInputError
 CMD = [sys.executable, "-m", "fibtor.cli"]
 
 
-def run(*args, expect=0):
-    proc = subprocess.run(CMD + list(args), capture_output=True, text=True)
-    assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
-    return proc
+def run(capsys, *args, expect=0):
+    """Run the CLI in-process; return its (stdout, stderr)."""
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    assert code == expect, (code, out, err)
+    return out, err
 
 
-def test_list_text():
-    proc = run("list")
-    assert "trefoil genus=1 methods=cohomology,jacobian" in proc.stdout
-    assert "figure_eight genus=1 methods=cohomology,jacobian" in proc.stdout
-    assert "torus" in proc.stdout
+def test_list_text(capsys):
+    out, _ = run(capsys, "list")
+    assert "trefoil genus=1 methods=cohomology,jacobian" in out
+    assert "figure_eight genus=1 methods=cohomology,jacobian" in out
+    assert "torus" in out
 
 
-def test_list_json():
-    proc = run("list", "--json")
-    entries = json.loads(proc.stdout)
+def test_list_json(capsys):
+    out, _ = run(capsys, "list", "--json")
+    entries = json.loads(out)
     names = {e["name"] for e in entries}
     assert {"trefoil", "figure_eight", "torus"} <= names
 
+
+# two smoke tests run `python -m fibtor.cli` for real; the rest call `main`
 
 def test_unknown_subcommand_is_usage_error():
     proc = subprocess.run(CMD + ["frobnicate"], capture_output=True, text=True)
@@ -41,34 +45,37 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_compute_trefoil():
-    proc = run("compute", "--knot", "trefoil", "--x", "1,1,1", "--format", "json")
+    proc = subprocess.run(CMD + ["compute", "--knot", "trefoil", "--x", "1,1,1",
+                                 "--format", "json"], capture_output=True, text=True)
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
     report = json.loads(proc.stdout)
     assert abs(report["torsion_re"] + 1.0 / 3.0) < 1e-9
     assert abs(report["torsion_im"]) < 1e-9
     assert report["epsilon0"] == 1
 
 
-def test_compute_figure_eight_holonomy():
-    proc = run("compute", "--knot", "figure_eight", "--holonomy", "plus",
-               "--format", "json")
-    report = json.loads(proc.stdout)
+def test_compute_figure_eight_holonomy(capsys):
+    out, _ = run(capsys, "compute", "--knot", "figure_eight", "--holonomy", "plus",
+                 "--format", "json")
+    report = json.loads(out)
     assert report["epsilon0"] == -1
     assert abs(report["torsion_im"]) < 1e-9
 
 
-def test_compute_reducible_character_fails_with_code():
-    proc = run("compute", "--knot", "figure_eight", "--x", "2,2,2", expect=1)
-    assert "REDUCIBLE_CHARACTER" in proc.stderr
+def test_compute_reducible_character_fails_with_code(capsys):
+    _, err = run(capsys, "compute", "--knot", "figure_eight", "--x", "2,2,2", expect=1)
+    assert "REDUCIBLE_CHARACTER" in err
 
 
-def test_compute_torus_closed_form():
-    proc = run("compute", "--knot", "torus(2,3)", "--x", "1,1", "--format", "json")
-    report = json.loads(proc.stdout)
+def test_compute_torus_closed_form(capsys):
+    out, _ = run(capsys, "compute", "--knot", "torus(2,3)", "--x", "1,1",
+                 "--format", "json")
+    report = json.loads(out)
     assert abs(report["torsion_re"] + 1.0 / 3.0) < 1e-12
     assert report["method"] == "closed_form"
 
 
-def test_compute_knot_file_and_rep_file(tmp_path):
+def test_compute_knot_file_and_rep_file(tmp_path, capsys):
     from fibtor import figure_eight, lift_character_to_rep
     fk = figure_eight()
     knot_file = tmp_path / "fig8.json"
@@ -80,13 +87,13 @@ def test_compute_knot_file_and_rep_file(tmp_path):
         "images": {name: [[[z.real, z.imag] for z in row]
                           for row in rep.image(name).tolist()]
                    for name in ("a", "b", "t")}}))
-    proc = run("compute", "--knot-file", str(knot_file),
-               "--rep-file", str(rep_file), "--format", "json")
-    report = json.loads(proc.stdout)
+    out, _ = run(capsys, "compute", "--knot-file", str(knot_file),
+                 "--rep-file", str(rep_file), "--format", "json")
+    report = json.loads(out)
     assert abs(report["torsion_re"] - 0.25) < 1e-9
 
 
-def test_compute_rep_file_violating_relators(tmp_path):
+def test_compute_rep_file_violating_relators(tmp_path, capsys):
     from fibtor import figure_eight
     fk = figure_eight()
     knot_file = tmp_path / "fig8.json"
@@ -97,14 +104,14 @@ def test_compute_rep_file_violating_relators(tmp_path):
         "images": {"a": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
                    "b": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
                    "t": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}}))
-    proc = run("compute", "--knot-file", str(knot_file),
-               "--rep-file", str(rep_file), expect=1)
-    assert "RELATOR_VIOLATION" in proc.stderr
+    _, err = run(capsys, "compute", "--knot-file", str(knot_file),
+                 "--rep-file", str(rep_file), expect=1)
+    assert "RELATOR_VIOLATION" in err
 
 
-def test_sweep_trefoil_csv(tmp_path):
+def test_sweep_trefoil_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    run("sweep", "--knot", "trefoil", "--grid", "x=-0.9:1.9:20",
+    run(capsys, "sweep", "--knot", "trefoil", "--grid", "x=-0.9:1.9:20",
         "--out", str(out))
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "x,torsion_re,torsion_im,epsilon0,eigenvalues,error"
@@ -115,17 +122,17 @@ def test_sweep_trefoil_csv(tmp_path):
         assert cells[-1] == ""
 
 
-def test_sweep_byte_stable(tmp_path):
+def test_sweep_byte_stable(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    run("sweep", "--knot", "trefoil", "--grid", "x=0.1:1.5:7", "--out", str(a))
-    run("sweep", "--knot", "trefoil", "--grid", "x=0.1:1.5:7", "--out", str(b))
+    run(capsys, "sweep", "--knot", "trefoil", "--grid", "x=0.1:1.5:7", "--out", str(a))
+    run(capsys, "sweep", "--knot", "trefoil", "--grid", "x=0.1:1.5:7", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_figure_eight_locus(tmp_path):
+def test_sweep_figure_eight_locus(tmp_path, capsys):
     out = tmp_path / "fig8.csv"
-    run("sweep", "--knot", "figure_eight", "--grid", "u=-1.5:0.5:9",
+    run(capsys, "sweep", "--knot", "figure_eight", "--grid", "u=-1.5:0.5:9",
         "--out", str(out))
     lines = out.read_text().strip().split("\n")[1:]
     for line in lines:
@@ -135,41 +142,33 @@ def test_sweep_figure_eight_locus(tmp_path):
         assert abs(float(cells[1]) - 1.0 / (3.0 - 2.0 * s)) < 1e-8
 
 
-def test_sweep_rows_with_failures_keep_error_codes(tmp_path):
+def test_sweep_rows_with_failures_keep_error_codes(tmp_path, capsys):
     out = tmp_path / "bad.csv"
     # u = 2 is the reducible point on the figure-eight locus (s = 4)
-    proc = subprocess.run(
-        CMD + ["sweep", "--knot", "figure_eight", "--grid", "u=2:2:1",
-               "--out", str(out)],
-        capture_output=True, text=True)
-    assert proc.returncode == 1
+    run(capsys, "sweep", "--knot", "figure_eight", "--grid", "u=2:2:1",
+        "--out", str(out), expect=1)
     lines = out.read_text().strip().split("\n")
     assert lines[1].endswith("REDUCIBLE_CHARACTER")
 
 
-def test_sweep_empty_grid_rejected(tmp_path):
+def test_sweep_empty_grid_rejected(tmp_path, capsys):
     out = tmp_path / "never.csv"
-    proc = subprocess.run(
-        CMD + ["sweep", "--knot", "trefoil", "--grid", "x=0:1:0",
-               "--out", str(out)],
-        capture_output=True, text=True)
-    assert proc.returncode == 1
+    _, err = run(capsys, "sweep", "--knot", "trefoil", "--grid", "x=0:1:0",
+                 "--out", str(out), expect=1)
     assert not out.exists()
-    assert "INVALID_INPUT" in proc.stderr
+    assert "INVALID_INPUT" in err
 
 
-def test_verify_filter_torsion_core():
-    proc = run("verify", "--filter", "torsion_core")
-    assert "torsion_core_basis_change" in proc.stdout
-    assert "trefoil_third" not in proc.stdout
+def test_verify_filter_torsion_core(capsys):
+    out, _ = run(capsys, "verify", "--filter", "torsion_core")
+    assert "torsion_core_basis_change" in out
+    assert "trefoil_third" not in out
 
 
-def test_verify_negative_control():
-    proc = subprocess.run(
-        CMD + ["verify", "--filter", "trefoil_third", "--inject-perturbation"],
-        capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
+def test_verify_negative_control(capsys):
+    out, _ = run(capsys, "verify", "--filter", "trefoil_third", "--inject-perturbation",
+                 expect=1)
+    assert "FAIL" in out
 
 
 def _bad_knot_files(tmp_path):
@@ -293,8 +292,8 @@ def test_runtime_does_not_import_sympy():
         "    fibtor.cli.main(['sweep', '--knot', 'figure_eight', '--grid', 'u=-2:2:5'])",
         "    fibtor.cli.main(['compute', '--knot', 'figure_eight', '--holonomy', 'plus'])",
         "failed = [n for n, ok, _ in fibtor.verify.run_checks() if not ok]",
-        "print(failed, 'sympy' in sys.modules)",
+        "print(failed, 'sympy' in sys.modules, 'scipy' in sys.modules)",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['fig8_holonomy_fifth'] False"
+    assert proc.stdout.strip() == "['fig8_holonomy_fifth'] False False"
