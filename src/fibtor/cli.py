@@ -60,6 +60,9 @@ def _parse_scalar(text):
 def _tolerances(args):
     tol = DEFAULT_TOL
     if getattr(args, "tol", None) is not None:
+        if not 0 < args.tol < 1:
+            raise InvalidInputError("--tol must be a finite number in (0, 1), not %r"
+                                    % args.tol)
         tol = tol.with_rank(args.tol)
     return tol
 
@@ -188,6 +191,8 @@ def _parse_grid(spec):
             raise InvalidInputError("step counts must be >= 1")
         if not (np.isfinite(start) and np.isfinite(stop)):
             raise InvalidInputError("grid ranges must be finite")
+        if not np.isfinite(stop - start):
+            raise InvalidInputError("grid range %r spans more than a float can hold" % rng)
         ranges[name] = (start, stop, steps)
     rows = math.prod(steps for _, _, steps in ranges.values())
     if rows > MAX_SWEEP_ROWS:

@@ -696,6 +696,10 @@ def _normal_form_pair(x1, x2, x3):
     unit off-diagonal entry, B lower triangular (principal square roots)."""
     al = (x1 + cmath.sqrt(x1 * x1 - 4.0)) / 2.0
     be = (x2 + cmath.sqrt(x2 * x2 - 4.0)) / 2.0
+    if al == 0 or be == 0:
+        # x + sqrt(x^2 - 4) cancels to 0 for x far below -2
+        raise InvalidInputError("the normal form of (%s, %s, %s) has an eigenvalue "
+                                "that rounds to 0" % (x1, x2, x3))
     r = x3 - al * be - 1.0 / (al * be)
     A = np.array([[al, 1.0], [0.0, 1.0 / al]], dtype=complex)
     B = np.array([[be, 0.0], [r, 1.0 / be]], dtype=complex)

@@ -7,10 +7,14 @@ h^i for the homology carries the torsion
 
 where b^i is any family in C_i whose image under d_i is a basis of the
 boundary space B_{i-1}, and h~^i is any lift of h^i into the cycle space
-Z_i.  The value does not depend on the choices of b^i and h~^i (Milnor); here
-b^i consists of the leading right singular vectors of d_i, as many as its
-rank under the `linalg` rank rule, from one numpy SVD per differential.  The
-sign-determined refinement multiplies by (-1)^{|C_*|} with
+Z_i.  The value does not depend on the choices of b^i and h~^i (Milnor).
+`homology` is the one place where a complex is decomposed: one numpy SVD per
+differential d_i decides its rank under the `linalg` rank rule and gives the
+cycles Z_i (trailing right singular vectors), the boundaries B_{i-1} (leading
+left singular vectors) and b^i (leading right singular vectors).  Every
+entry point -- `torsion`, `sign_determined_torsion`, `multiplicativity_check`
+-- decomposes each complex it is given once and reads everything from that.
+The sign-determined refinement multiplies by (-1)^{|C_*|} with
 
     |C_*| = sum_k alpha_k beta_k,
     alpha_k = sum_{j<=k} dim C_j  (mod 2),   beta_k = sum_{j<=k} dim H_j (mod 2).
@@ -27,7 +31,6 @@ from .linalg import (
     DEFAULT_TOL,
     _rank,
     column_space,
-    nullspace,
     numerical_rank,
     solve_in_span,
 )
@@ -142,17 +145,6 @@ class BasedChainComplex:
             return np.zeros((0, self.dims[n]), dtype=complex)
         return self.boundaries[i]
 
-    def differential_in(self, i):
-        """The differential arriving at degree i (zero map at the end)."""
-        n = self.top_degree
-        if self.direction == "chain":
-            if i == n:
-                return np.zeros((self.dims[n], 0), dtype=complex)
-            return self.boundaries[i]
-        if i == 0:
-            return np.zeros((self.dims[0], 0), dtype=complex)
-        return self.boundaries[i - 1]
-
     def to_chain(self):
         """The same complex in the homological convention (degree-reversed)."""
         if self.direction == "chain":
@@ -174,15 +166,18 @@ class HomologyData:
     """Per-degree cycle/boundary/homology bases of a complex (own indexing).
 
     cycles[i], boundaries[i]: orthonormal column bases of Z_i and B_i.
+    lifts[i]: orthonormal columns b^i that the differential leaving degree i
+    maps onto a basis of the boundaries of its target degree.
     homology[i]: columns are cycle representatives spanning a complement of
     B_i inside Z_i; they serve both as a homology basis and as the lift of
     that basis back into the cycle space.
     """
 
-    def __init__(self, cycles, boundaries, homology):
+    def __init__(self, cycles, boundaries, homology, lifts):
         self.cycles = cycles
         self.boundaries = boundaries
         self.homology = homology
+        self.lifts = lifts
         self.dims = [h.shape[1] for h in homology]
 
     def class_coordinates(self, degree, vectors, tol=DEFAULT_TOL):
@@ -201,29 +196,34 @@ class HomologyData:
 
 
 def homology(cx, tol=None):
-    """Cycle, boundary and homology bases of `cx`, degree by degree.
+    """Cycle, boundary, lift and homology bases of `cx`, degree by degree.
 
-    Homology bases are the orthogonal complements of B_i inside Z_i; the
-    dimension satisfies dim H_i = dim Z_i - dim B_i.
+    One SVD d = U S V^H of rank r per differential gives the cycles of its
+    source degree (V's trailing columns), the lifts b^i there (V's leading
+    r columns) and the boundaries of its target degree (U's leading r
+    columns).  Homology bases are the orthogonal complements of B_i inside
+    Z_i; the dimension satisfies dim H_i = dim Z_i - dim B_i.
     """
     tol = tol or cx.tol
-    cycles, bnds, hom = [], [], []
-    for i in range(len(cx.dims)):
-        Z = nullspace(cx.differential_out(i), tol)
-        Bm = column_space(cx.differential_in(i), tol)
+    cycles = [np.eye(m, dtype=complex) for m in cx.dims]
+    bnds = [np.zeros((m, 0), dtype=complex) for m in cx.dims]
+    lifts = list(bnds)
+    for k, d in enumerate(cx.boundaries):
+        src, tgt = (k + 1, k) if cx.direction == "chain" else (k, k + 1)
+        if d.size:
+            u, s, vh = np.linalg.svd(d)
+            r = _rank(s, tol)
+            cycles[src] = vh[r:].conj().T
+            lifts[src] = vh[:r].conj().T
+            bnds[tgt] = u[:, :r]
+    hom = []
+    for i, (Z, Bm) in enumerate(zip(cycles, bnds)):
         # B must sit inside Z (d o d = 0 is validated at construction)
         if Bm.shape[1] > Z.shape[1]:
             raise ChainComplexError("boundary space exceeds cycle space at degree %d" % i)
-        if Bm.shape[1]:
-            proj = Bm @ (Bm.conj().T @ Z)
-            W = Z - proj
-        else:
-            W = Z
-        H = column_space(W, tol)
-        cycles.append(Z)
-        bnds.append(Bm)
-        hom.append(H)
-    return HomologyData(cycles, bnds, hom)
+        W = Z - Bm @ (Bm.conj().T @ Z) if Bm.shape[1] else Z
+        hom.append(column_space(W, tol))
+    return HomologyData(cycles, bnds, hom, lifts)
 
 
 def _resolve_homology_bases(cx, hdata, tol):
@@ -271,45 +271,40 @@ def torsion(cx, tol=None, rng=None):
     """
     tol = tol or cx.tol
     c = cx.to_chain()
-    n = c.top_degree
     hdata = homology(c, tol)
-    hbases = _resolve_homology_bases(c, hdata, tol)
+    return _torsion(c, hdata, _resolve_homology_bases(c, hdata, tol), tol, rng)
 
-    # one SVD per differential d_i : C_i -> C_{i-1} gives its rank r and
-    # b^i: the leading r right singular vectors, which d_i maps onto a basis
-    # of B_{i-1}; the remaining ones span ker d_i
-    ranks = [0] * (n + 2)
-    bfam = [None] * (n + 1)
-    for i in range(1, n + 1):
-        _, s, vh = np.linalg.svd(c.boundaries[i - 1])
-        r = ranks[i] = _rank(s, tol)
-        E = vh[:r].conj().T
-        if rng is not None and r:
-            E = E @ random_invertible(rng, r)
-            K = vh[r:].conj().T
+
+def _torsion(c, hdata, hbases, tol, rng=None):
+    """tor of the chain complex `c` from its decomposition `hdata` and the
+    homology bases `hbases`."""
+    n = c.top_degree
+    bfam = list(hdata.lifts)
+    if rng is not None:
+        for i in range(1, n + 1):
+            r = bfam[i].shape[1]
+            if not r:
+                continue
+            bfam[i] = bfam[i] @ random_invertible(rng, r)
+            K = hdata.cycles[i]
             if K.shape[1]:
-                E = E + K @ (rng.standard_normal((K.shape[1], r))
-                             + 1j * rng.standard_normal((K.shape[1], r)))
-        bfam[i] = E
+                bfam[i] = bfam[i] + K @ (rng.standard_normal((K.shape[1], r))
+                                         + 1j * rng.standard_normal((K.shape[1], r)))
 
     value = 1.0 + 0j
     for i in range(n + 1):
         m = c.dims[i]
         if m == 0:
             continue
-        cols = []
-        if i < n and ranks[i + 1]:
-            cols.append(c.boundaries[i] @ bfam[i + 1])
         h = hbases[i]
-        if h.shape[1]:
-            if rng is not None and hdata.boundaries[i].shape[1]:
-                Bm = hdata.boundaries[i]
-                h = h + Bm @ (rng.standard_normal((Bm.shape[1], h.shape[1]))
-                              + 1j * rng.standard_normal((Bm.shape[1], h.shape[1])))
-            cols.append(h)
-        if ranks[i]:
-            cols.append(bfam[i])
-        M = np.hstack(cols) if cols else np.zeros((m, 0), dtype=complex)
+        Bm = hdata.boundaries[i]
+        if rng is not None and h.shape[1] and Bm.shape[1]:
+            h = h + Bm @ (rng.standard_normal((Bm.shape[1], h.shape[1]))
+                          + 1j * rng.standard_normal((Bm.shape[1], h.shape[1])))
+        cols = [h, bfam[i]]
+        if i < n:
+            cols.insert(0, c.boundaries[i] @ bfam[i + 1])
+        M = np.hstack(cols)
         if M.shape != (m, m):
             raise ChainComplexError(
                 "degenerate decomposition at degree %d: %r columns for dim %d"
@@ -358,7 +353,11 @@ def sign_determined_torsion(cx, tol=None, rng=None):
     """
     if len(cx.dims) == 0 or sum(cx.dims) == 0:
         return 1.0 + 0j
-    return (-1) ** complex_sign(cx, tol) * torsion(cx, tol, rng)
+    tol = tol or cx.tol
+    c = cx.to_chain()
+    hdata = homology(c, tol)
+    return (-1) ** sign_parities(c.dims, hdata.dims)[2] * _torsion(
+        c, hdata, _resolve_homology_bases(c, hdata, tol), tol, rng)
 
 
 # -- multiplicativity --------------------------------------------------------
@@ -419,22 +418,12 @@ def connecting_map(degree, incl, proj, c_total, hsub, hquot, tol=DEFAULT_TOL):
     return np.column_stack(out)
 
 
-def long_exact_sequence(c_sub, c_total, c_quot, incl, proj, tol=DEFAULT_TOL,
-                        bases=None):
+def long_exact_sequence(hs, ht, hq, c_total, incl, proj, tol=DEFAULT_TOL):
     """The homology long exact sequence of a short exact sequence, as a based
     chain complex H_* with H_{3i} = H_i(C''), H_{3i+1} = H_i(C),
-    H_{3i+2} = H_i(C').
-
-    `bases`, when given, is a triple of per-degree homology bases (sub,
-    total, quot) to use instead of the computed ones.
+    H_{3i+2} = H_i(C'), in the homology bases of the sub, total and quotient
+    decompositions `hs`, `ht`, `hq`.
     """
-    hs, ht, hq = (homology(c_sub, tol), homology(c_total, tol), homology(c_quot, tol))
-    if bases is not None:
-        for hd, bb in zip((hs, ht, hq), bases):
-            for i, m in enumerate(bb):
-                if m is not None:
-                    hd.homology[i] = np.asarray(m, dtype=complex)
-            hd.dims = [h.shape[1] for h in hd.homology]
     n = c_total.top_degree
     dims = []
     for i in range(n + 1):
@@ -495,20 +484,16 @@ def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, tol=None,
                 raise ChainComplexError(
                     "bases incompatible at degree %d ([c/c'c''] = %s)" % (i, det))
 
-    hs, ht, hq = homology(cs, tol), homology(ct, tol), homology(cq, tol)
-    hb_sub = _resolve_or_default(cs, hs, tol)
-    hb_tot = _resolve_or_default(ct, ht, tol)
-    hb_quot = _resolve_or_default(cq, hq, tol)
-
-    les = long_exact_sequence(cs, ct, cq, incl, proj, tol,
-                              bases=(hb_sub, hb_tot, hb_quot))
-    if any(d != 0 for d in homology(les, tol).dims):
+    # one decomposition per complex, in the homology bases torsion uses
+    hs, ht, hq = (_with_resolved_bases(c, homology(c, tol), tol) for c in (cs, ct, cq))
+    les = long_exact_sequence(hs, ht, hq, ct, incl, proj, tol)
+    hl = homology(les, tol)
+    if any(d != 0 for d in hl.dims):
         raise ChainComplexError("long exact sequence is not exact (sequence invalid)")
 
-    tor_les = torsion(les, tol)
-    Tc = sign_determined_torsion(_with_bases(ct, hb_tot), tol)
-    Ts = sign_determined_torsion(_with_bases(cs, hb_sub), tol)
-    Tq = sign_determined_torsion(_with_bases(cq, hb_quot), tol)
+    tor_les = _torsion(les, hl, hl.homology, tol)
+    Tc, Ts, Tq = ((-1) ** sign_parities(c.dims, h.dims)[2] * _torsion(c, h, h.homology, tol)
+                  for c, h in ((ct, ht), (cs, hs), (cq, hq)))
     alpha, eps = multiplicativity_signs(cs.dims, ct.dims, cq.dims,
                                         hs.dims, ht.dims, hq.dims)
     rhs = (-1) ** ((alpha + eps) % 2) * Ts * Tq * tor_les
@@ -521,12 +506,10 @@ def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, tol=None,
     return residual
 
 
-def _resolve_or_default(cx, hdata, tol):
-    if cx.homology_bases is not None:
-        return _resolve_homology_bases(cx, hdata, tol)
-    return [hdata.homology[i] for i in range(len(cx.dims))]
-
-
-def _with_bases(cx, bases):
-    return BasedChainComplex(cx.dims, cx.boundaries, direction=cx.direction,
-                             homology_bases=bases, tol=cx.tol)
+def _with_resolved_bases(cx, hdata, tol):
+    """`hdata` in the homology bases torsion uses for `cx`: the supplied
+    ones, validated, or else the computed ones."""
+    if cx.homology_bases is None:
+        return hdata
+    return HomologyData(hdata.cycles, hdata.boundaries,
+                        _resolve_homology_bases(cx, hdata, tol), hdata.lifts)

@@ -1,10 +1,14 @@
 """Command line behavior: subcommands, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -225,6 +229,12 @@ BAD_INPUTS = {
         ["sweep", "--knot", "trefoil", "--grid", "x=0:1:100000000000000000000"], None),
     "x_not_finite": (["compute", "--knot", "trefoil", "--x", "nan,1,1"], None),
     "x_trace_overflows": (["compute", "--knot", "trefoil", "--x", "1e200,1,1"], None),
+    # the normal-form eigenvalue (x + sqrt(x^2 - 4))/2 cancels to 0
+    "x_normal_form_underflows": (
+        ["compute", "--knot", "trefoil", "--x=-2e8,-2e8,-2e8"], None),
+    "tol_not_finite": (["compute", "--knot", "trefoil", "--x", "1,1,1", "--tol", "nan"], None),
+    "tol_out_of_range": (["compute", "--knot", "trefoil", "--x", "1,1,1", "--tol=-1"], None),
+    "grid_span_overflows": (["sweep", "--knot", "trefoil", "--grid", "x=1e308:-1e308:3"], None),
 }
 
 
@@ -240,6 +250,14 @@ def test_bad_input_is_invalid_input(tmp_path, capsys, case):
     assert err.startswith("error[INVALID_INPUT]: ")
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_sweep_row_whose_normal_form_underflows(capsys):
+    out, _ = run(capsys, "sweep", "--knot", "trefoil", "--grid", "x=-2e8:0.5:2", expect=1)
+    lines = out.strip().split("\n")
+    assert len(lines) == 3
+    assert lines[1] == "-200000000,,,,,INVALID_INPUT"
+    assert lines[2].startswith("0.5,-0.333333333333,")
 
 
 @pytest.mark.parametrize("spec", ["x=0:1:1000001", "x1=0:1:1000,x2=0:1:1000,x3=0:1:2"])
@@ -297,3 +315,39 @@ def test_runtime_does_not_import_sympy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['fig8_holonomy_fifth'] False False"
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308"]),
+    st.integers().map(str),
+    st.text(max_size=4),
+)
+_GRID_RANGE = st.tuples(st.sampled_from(["x", "u", "x1", "x2", "x3"]), _NUMBER_TEXT,
+                        _NUMBER_TEXT, st.integers(-2, 5))
+_ARGV = st.tuples(
+    st.sampled_from(["trefoil", "figure_eight"]),
+    st.one_of(
+        st.lists(_GRID_RANGE, min_size=1, max_size=3).map(
+            lambda ranges: ["sweep", "--grid=" + ",".join(
+                "%s=%s:%s:%d" % r for r in ranges)]),
+        st.lists(_NUMBER_TEXT, min_size=3, max_size=3).map(
+            lambda xs: ["compute", "--x=" + ",".join(xs)]),
+    ),
+    st.one_of(st.none(), _NUMBER_TEXT),
+).map(lambda t: t[1] + ["--knot", t[0]] + ([] if t[2] is None else ["--tol=" + t[2]]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_ARGV)
+def test_cli_boundary_exits_cleanly(argv):
+    # any sweep grid, --x triple or --tol ends in a documented exit code:
+    # no traceback, no numpy warning
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)

@@ -1,6 +1,8 @@
 """Generic torsion engine: determinants, homology, torsion, signs,
 multiplicativity."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fibtor import (
     sign_determined_torsion,
     torsion,
 )
+from fibtor.linalg import column_space, nullspace, numerical_rank
 from fibtor.torsion import random_invertible
 from fibtor.verify import random_based_complex, random_block_sum_ses
 
@@ -77,6 +80,33 @@ def test_euler_characteristic_matches_homology():
         chi_chain = sum((-1) ** i * d for i, d in enumerate(cx.dims))
         chi_hom = sum((-1) ** i * d for i, d in enumerate(hdims))
         assert chi_chain == chi_hom
+
+
+def test_homology_reads_cycles_boundaries_and_lifts_off_one_svd():
+    # reference: linalg's nullspace and column_space of each boundary matrix,
+    # in both the chain and the cochain direction
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        cx = random_based_complex(rng)
+        rev = BasedChainComplex(list(reversed(cx.dims)), list(reversed(cx.boundaries)),
+                                direction="cochain")
+        for c in (cx, rev):
+            h = homology(c)
+            arriving = [np.zeros((m, 0)) for m in c.dims]
+            for k, d in enumerate(c.boundaries):
+                arriving[k if c.direction == "chain" else k + 1] = d
+            for i in range(len(c.dims)):
+                d = c.differential_out(i)
+                assert np.array_equal(h.cycles[i], nullspace(d))
+                assert np.array_equal(h.boundaries[i], column_space(arriving[i]))
+                b = h.lifts[i]
+                assert np.allclose(b.conj().T @ b, np.eye(b.shape[1]))
+                assert b.shape[1] == numerical_rank(d)
+                if b.shape[1]:
+                    image = d @ b
+                    B = h.boundaries[i - 1 if c.direction == "chain" else i + 1]
+                    assert B.shape[1] == numerical_rank(image) == b.shape[1]
+                    assert np.allclose(B @ (B.conj().T @ image), image)
 
 
 # -- torsion: pinned examples ----------------------------------------------------
@@ -225,6 +255,29 @@ def test_multiplicativity_block_sums():
         seen_signs.add((parts["alpha"] + parts["epsilon"]) % 2)
     # the sign exponent must actually matter across the sample
     assert seen_signs == {0, 1}
+
+
+def test_each_entry_point_decomposes_each_complex_once(monkeypatch):
+    rng = np.random.default_rng(59)
+    cx = random_based_complex(rng)
+    assert sum(cx.dims)
+    ses = random_block_sum_ses(rng)
+    module = sys.modules["fibtor.torsion"]  # fibtor.torsion is also a function
+    calls = []
+    original = module.homology
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "homology", counting)
+    # sub, total, quotient and the long exact sequence: 4 complexes
+    for run, expected in ((lambda: torsion(cx), 1),
+                          (lambda: sign_determined_torsion(cx), 1),
+                          (lambda: multiplicativity_check(*ses), 4)):
+        calls.clear()
+        run()
+        assert len(calls) == expected
 
 
 def test_multiplicativity_trivial_sub():
