@@ -24,7 +24,6 @@ from .errors import (
     ReducibleRestrictionError,
     RelatorViolationError,
 )
-from .linalg import DEFAULT_TOL, Tolerances
 from .torsion import (
     BasedChainComplex,
     ChainComplexError,

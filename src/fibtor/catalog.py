@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fibered import FiberedKnot, TraceCoordMap, lift_character_to_rep, torus_closed_form
+from .linalg import RANK_TOL
 from .rep import SL2C, Representation, sl2_inverse
 
 # A knot's chart of its fixed locus: the sweep grid coordinate, its map to
@@ -126,13 +127,14 @@ def get_entry(name):
         name, ", ".join(e.name for e in catalog())))
 
 
-def holonomy_representation(sign=1, tol=None):
+def holonomy_representation(sign=1, tol=RANK_TOL):
     """A lift of the figure-eight holonomy in the fibered presentation.
 
     The meridian image is [[1, 1], [0, 1]] for sign +1 and [[-1, 1], [0, -1]]
     for sign -1 (the two lifts of the same PSL2(C) representation).  The
     longitude, i.e. the fiber boundary [a, b], evaluates to
-    [[-1, -2i sqrt 3], [0, -1]]: trace -2.
+    [[-1, -2i sqrt 3], [0, -1]]: trace -2.  `tol` is the representation's
+    rank cutoff.
     """
     fk = figure_eight()
     rep = lift_character_to_rep(fk, fk.locus_chart.holonomy, flavor=SL2C,

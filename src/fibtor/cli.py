@@ -27,7 +27,7 @@ from .fibered import (
     main_theorem_torsion,
     TorsionReport,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import RANK_TOL
 from .rep import Representation
 from .verify import run_checks
 
@@ -57,14 +57,14 @@ def _parse_scalar(text):
     return z
 
 
-def _tolerances(args):
-    tol = DEFAULT_TOL
-    if getattr(args, "tol", None) is not None:
-        if not 0 < args.tol < 1:
-            raise InvalidInputError("--tol must be a finite number in (0, 1), not %r"
-                                    % args.tol)
-        tol = tol.with_rank(args.tol)
-    return tol
+def _rank_tol(args):
+    """The rank cutoff: `--tol`, checked, or RANK_TOL."""
+    if args.tol is None:
+        return RANK_TOL
+    if not 0 < args.tol < 1:
+        raise InvalidInputError("--tol must be a finite number in (0, 1), not %r"
+                                % args.tol)
+    return args.tol
 
 
 def _read_text(path, what):
@@ -141,7 +141,7 @@ def _print_report(report, as_json):
 
 
 def cmd_compute(args):
-    tol = _tolerances(args)
+    tol = _rank_tol(args)
     fk, torus = _load_knot(args)
     if torus is not None:
         if not args.x:
@@ -159,8 +159,7 @@ def cmd_compute(args):
                                method="closed_form", knot=torus.name)
         _print_report(report, args.format == "json")
         return 0
-    rep = _representation(fk, args, tol)
-    report = main_theorem_torsion(fk, rep, tol)
+    report = main_theorem_torsion(fk, _representation(fk, args, tol))
     _print_report(report, args.format == "json")
     return 0
 
@@ -218,7 +217,7 @@ def _character_from_params(fk, params):
 
 
 def cmd_sweep(args):
-    tol = _tolerances(args)
+    tol = _rank_tol(args)
     fk, torus = _load_knot(args)
     if torus is not None:
         raise InvalidInputError("sweeps need a fibered-knot entry")
@@ -233,7 +232,7 @@ def cmd_sweep(args):
         try:
             point = _character_from_params(fk, params)
             rep = lift_character_to_rep(fk, point, tol=tol)
-            row["report"] = main_theorem_torsion(fk, rep, tol)
+            row["report"] = main_theorem_torsion(fk, rep)
         except FibtorError as exc:
             row["error"] = exc.code
             row["message"] = str(exc)

@@ -37,7 +37,7 @@ from .errors import (
     RelatorViolationError,
     UnitEigenvalueInProductError,
 )
-from .linalg import DEFAULT_TOL, column_space, orthogonal_complement
+from .linalg import RANK_TOL, UNIT_EIGENVALUE_TOL, column_space, orthogonal_complement
 from .rep import (
     SL2C,
     SU2,
@@ -51,7 +51,7 @@ from .rep import (
     twisted_cochain_complex,
 )
 from .torsion import BasedChainComplex, homology, sign_determined_torsion, torsion
-from .words import GroupPresentation, Word
+from .words import GroupPresentation, Word, inverse_spelling
 
 
 class FiberedKnot:
@@ -66,14 +66,23 @@ class FiberedKnot:
     def __init__(self, name, genus, fiber_generators, monodromy,
                  meridian="t", check_fibered=True):
         self.name = name
-        self.genus = int(genus)
-        if self.genus < 1:
+        if isinstance(genus, bool) or not isinstance(genus, int):
+            raise InvalidInputError("genus must be an integer, not %r" % (genus,))
+        if genus < 1:
             raise InvalidInputError("genus must be positive")
+        self.genus = genus
         self.fiber_generators = list(fiber_generators)
         if len(self.fiber_generators) != 2 * self.genus:
             raise InvalidInputError("need 2*genus fiber generators")
-        if meridian in self.fiber_generators:
-            raise InvalidInputError("meridian symbol clashes with a fiber generator")
+        names = self.fiber_generators + [meridian]
+        if not all(isinstance(n, str) and n for n in names):
+            raise InvalidInputError("generator names must be nonempty strings: %r"
+                                    % (names,))
+        # words spell an inverse by uppercasing the initial, so every name
+        # and every inverse spelling must be told apart
+        if len({s for n in names for s in (n, inverse_spelling(n))}) != 2 * len(names):
+            raise InvalidInputError("generator names %r collide: a name or its "
+                                    "inverse spelling is used twice" % (names,))
         self.meridian = meridian
         self.monodromy = {}
         for g in self.fiber_generators:
@@ -211,7 +220,7 @@ class MonodromyAction:
     meridian_image: np.ndarray
 
 
-def monodromy_action(fk, rep, tol=None):
+def monodromy_action(fk, rep):
     """Compute the action of the monodromy on H^1(F; sl2_phi).
 
     `rep` is a representation of `fk.presentation()`, whose first 2g
@@ -226,15 +235,14 @@ def monodromy_action(fk, rep, tol=None):
     be preserved, and the induced map on the quotient H^1 = C^1/B^1 is
     returned with its scaffolding.  The quotient is modelled on the
     orthogonal complement of B^1; the induced eigenvalues do not depend on
-    that choice.
+    that choice.  Ranks are decided under the representation's cutoff.
     """
-    tol = tol or rep.tol
     n = len(fk.fiber_generators)
     if rep.presentation.generators[:n] != fk.fiber_generators:
         raise InvalidInputError("the representation's first generators must be "
                                 "the knot's fiber generators")
     d0 = coboundary_matrix(rep.images[:n])
-    bspace = column_space(d0, tol)
+    bspace = column_space(d0, rep.tol)
     if bspace.shape[1] < 3:
         raise ReducibleRestrictionError(
             "fiber restriction has an Ad-fixed vector (dim %d); "
@@ -252,29 +260,34 @@ def monodromy_action(fk, rep, tol=None):
             "monodromy action does not preserve the coboundary space "
             "(residual %.3e); the representation violates the mapping-torus "
             "relators" % resid)
-    comp = orthogonal_complement(bspace, 3 * n, tol)
+    comp = orthogonal_complement(bspace, 3 * n, rep.tol)
     quotient = comp.conj().T @ full @ comp
     return MonodromyAction(full, d0, comp, quotient, T)
 
 
-def eigenvalues_excluding_one(m, tol=1e-6):
-    """Eigenvalues of `m` with the (required, simple) unit eigenvalue removed.
-
-    Returns them sorted by (real, imaginary).  Raises if no eigenvalue or
-    more than one eigenvalue lies within `tol` of 1 -- the two failure modes
+def _unit_eigenvalue(evs):
+    """Index of the one eigenvalue in `evs` within UNIT_EIGENVALUE_TOL of 1.
+    Raises if there is none or more than one -- the two failure modes
     (boundary-regularity failure, tolerance clash) are reported distinctly.
     """
-    evs = np.linalg.eigvals(np.asarray(m, dtype=complex))
-    near = [k for k in range(len(evs)) if abs(evs[k] - 1.0) < tol]
+    near = [k for k in range(len(evs)) if abs(evs[k] - 1.0) < UNIT_EIGENVALUE_TOL]
     if not near:
         raise NoUnitEigenvalueError(
             "no eigenvalue within %g of 1 (closest: %.3e); the representation "
-            "is not boundary-regular" % (tol, min(abs(evs - 1.0))))
+            "is not boundary-regular" % (UNIT_EIGENVALUE_TOL, min(abs(evs - 1.0))))
     if len(near) > 1:
         raise NonSimpleUnitEigenvalueError(
             "%d eigenvalues within %g of 1; regularity failure or tolerance "
-            "clash" % (len(near), tol))
-    rest = [complex(evs[k]) for k in range(len(evs)) if k != near[0]]
+            "clash" % (len(near), UNIT_EIGENVALUE_TOL))
+    return near[0]
+
+
+def eigenvalues_excluding_one(m):
+    """Eigenvalues of `m` with the (required, simple) unit eigenvalue removed,
+    sorted by (real, imaginary)."""
+    evs = np.linalg.eigvals(np.asarray(m, dtype=complex))
+    unit = _unit_eigenvalue(evs)
+    rest = [complex(evs[k]) for k in range(len(evs)) if k != unit]
     rest.sort(key=lambda z: (z.real, z.imag))
     return rest
 
@@ -298,7 +311,9 @@ class TorsionReport:
             "epsilon0": self.epsilon0,
             "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
             "method": self.method,
-            "unit_eigenvalue_gap": self.unit_eigenvalue_gap,
+            # strict JSON has no Infinity: a report without eigenvalues has no gap
+            "unit_eigenvalue_gap": (self.unit_eigenvalue_gap
+                                    if math.isfinite(self.unit_eigenvalue_gap) else None),
         }
         if self.knot:
             out["knot"] = self.knot
@@ -313,16 +328,16 @@ class TorsionReport:
         return json.dumps(self.to_dict())
 
 
-def _product_from_eigenvalues(eps0, lams, tol_unit):
+def _product_from_eigenvalues(eps0, lams):
     gap = min((abs(1.0 - lam) for lam in lams), default=math.inf)
-    if gap <= tol_unit:
+    if gap <= UNIT_EIGENVALUE_TOL:
         raise UnitEigenvalueInProductError(
-            "a retained eigenvalue lies within %g of 1" % tol_unit)
+            "a retained eigenvalue lies within %g of 1" % UNIT_EIGENVALUE_TOL)
     value = -eps0 * np.prod([1.0 / (1.0 - lam) for lam in lams])
     return complex(value), gap
 
 
-def main_theorem_torsion(fk, rep, tol=None):
+def main_theorem_torsion(fk, rep):
     """Sign-determined torsion of the knot exterior with respect to the
     longitude, from the eigenvalues of the twisted monodromy.
 
@@ -331,11 +346,10 @@ def main_theorem_torsion(fk, rep, tol=None):
     map, the report also carries the eigenvalues of the exact trace-map
     Jacobian at the representation's character as an independent cross-check.
     """
-    tol = tol or rep.tol
-    act = monodromy_action(fk, rep, tol)
-    lams = eigenvalues_excluding_one(act.quotient, tol.unit_eigenvalue)
+    act = monodromy_action(fk, rep)
+    lams = eigenvalues_excluding_one(act.quotient)
     eps0 = epsilon0(fk)
-    value, gap = _product_from_eigenvalues(eps0, lams, tol.unit_eigenvalue)
+    value, gap = _product_from_eigenvalues(eps0, lams)
     report = TorsionReport(
         torsion=value,
         epsilon0=eps0,
@@ -354,14 +368,14 @@ def main_theorem_torsion(fk, rep, tol=None):
     return report
 
 
-def jacobian_torsion(fk, point, tol=DEFAULT_TOL):
+def jacobian_torsion(fk, point):
     """Torsion at a genus-one character point via the trace-map Jacobian only."""
     if fk.trace_map is None:
         raise InvalidInputError("knot %r carries no trace-coordinate map" % fk.name)
     jac = fk.trace_map.jacobian(point)
-    lams = eigenvalues_excluding_one(jac, tol.unit_eigenvalue)
+    lams = eigenvalues_excluding_one(jac)
     eps0 = epsilon0(fk)
-    value, gap = _product_from_eigenvalues(eps0, lams, tol.unit_eigenvalue)
+    value, gap = _product_from_eigenvalues(eps0, lams)
     return TorsionReport(
         torsion=value, epsilon0=eps0, eigenvalues=lams,
         unit_eigenvalue_gap=gap, method="jacobian", knot=fk.name,
@@ -371,18 +385,13 @@ def jacobian_torsion(fk, point, tol=DEFAULT_TOL):
 # -- Wang sequence ------------------------------------------------------------
 
 
-def _unit_last_basis(mq, tol_unit):
+def _unit_last_basis(mq):
     """Basis in which the monodromy action on H^1 is block diagonal: the
     invariant subspace of the non-unit eigenvalues first, the unit
     eigenvector last (so the matrix's last row and column are e_last)."""
     n = mq.shape[0]
     evs, vecs = np.linalg.eig(mq)
-    near = [k for k in range(n) if abs(evs[k] - 1.0) < tol_unit]
-    if not near:
-        raise NoUnitEigenvalueError("no unit eigenvalue for the Wang basis")
-    if len(near) > 1:
-        raise NonSimpleUnitEigenvalueError("unit eigenvalue is not simple")
-    u = vecs[:, near[0]]
+    u = vecs[:, _unit_eigenvalue(evs)]
     u = u / np.linalg.norm(u)
     # with 1 a simple eigenvalue, the image of mq - I is the invariant
     # subspace of the other eigenvalues: its n - 1 leading left singular vectors
@@ -390,7 +399,7 @@ def _unit_last_basis(mq, tol_unit):
     return np.column_stack([left[:, :n - 1], u])
 
 
-def wang_complex(fk, rep, tol=None):
+def wang_complex(fk, rep):
     """The based acyclic Wang complex
 
         0 -> H^1(M) -> H^1(F) -> H^1(F) -> H^2(M) -> 0
@@ -399,9 +408,8 @@ def wang_complex(fk, rep, tol=None):
     H^1(F) slots, H^1(M) based so its image is that last basis vector, and
     H^2(M) based by the image of the last basis vector under the connecting
     map.  Returns (complex, action, basis)."""
-    tol = tol or rep.tol
-    act = monodromy_action(fk, rep, tol)
-    basis = _unit_last_basis(act.quotient, tol.unit_eigenvalue)
+    act = monodromy_action(fk, rep)
+    basis = _unit_last_basis(act.quotient)
     mq_block = np.linalg.solve(basis, act.quotient @ basis)
     n = mq_block.shape[0]
     last = np.zeros((n, 1), dtype=complex)
@@ -410,19 +418,19 @@ def wang_complex(fk, rep, tol=None):
         [1, n, n, 1],
         [last, np.eye(n, dtype=complex) - mq_block, last.T.copy()],
         direction="cochain",
-        tol=tol,
+        tol=rep.tol,
     )
     return cochain, act, basis
 
 
-def wang_sequence_torsion(fk, rep, tol=None):
+def wang_sequence_torsion(fk, rep):
     """Torsion of the Wang complex; equals prod_i (1 - lambda_i).
 
     Together with the main formula this gives
     wang_sequence_torsion * main_theorem_torsion = -eps0.
     """
-    cochain, _, _ = wang_complex(fk, rep, tol)
-    return torsion(cochain, tol or rep.tol)
+    cochain, _, _ = wang_complex(fk, rep)
+    return torsion(cochain)
 
 
 def _meridian_block_embedding(fk):
@@ -440,31 +448,29 @@ def _meridian_block_embedding(fk):
     return [incl0, incl1, incl2], [proj0, proj1, proj2]
 
 
-def wang_exact_sequence(fk, rep, tol=None):
+def wang_exact_sequence(fk, rep):
     """The degreewise short exact sequence realizing the Wang setup on the
     finite presentation complex: the meridian direction plus the 2-cells as
     a subcomplex, the fiber complex as the quotient.
 
     Returns (sub, total, quot, incl, proj), ready for multiplicativity_check.
     """
-    tol = tol or rep.tol
-    pres = fk.presentation()
-    total = twisted_cochain_complex(pres, rep, tol)
+    total = twisted_cochain_complex(rep)
     incl, proj = _meridian_block_embedding(fk)
     n = 2 * fk.genus
     d1 = total.boundaries[1]
     sub = BasedChainComplex(
         [0, 3, 3 * n],
         [np.zeros((3, 0), dtype=complex), d1[:, 3 * n:]],
-        direction="cochain", tol=tol)
+        direction="cochain", tol=rep.tol)
     quot = BasedChainComplex(
         [3, 3 * n, 0],
         [total.boundaries[0][:3 * n, :], np.zeros((0, 3 * n), dtype=complex)],
-        direction="cochain", tol=tol)
+        direction="cochain", tol=rep.tol)
     return sub, total, quot, incl, proj
 
 
-def wang_product_check(fk, rep, tol=None):
+def wang_product_check(fk, rep):
     """Tor(presentation complex; h1, h2) * Tor(Wang complex) with consistent
     reference bases; equals -1 for boundary-regular representations.
 
@@ -472,11 +478,9 @@ def wang_product_check(fk, rep, tol=None):
     unit eigenvector closing the Wang complex; h2 is the image of that
     eigenvector under the connecting map of the mapping-cone sequence.
     """
-    tol = tol or rep.tol
-    wang, act, basis = wang_complex(fk, rep, tol)
-    pres = fk.presentation()
-    total = twisted_cochain_complex(pres, rep, tol)
-    hdata = homology(total, tol)
+    wang, act, basis = wang_complex(fk, rep)
+    total = twisted_cochain_complex(rep)
+    hdata = homology(total)
     if hdata.dims != [0, 1, 1]:
         raise NoUnitEigenvalueError(
             "twisted cohomology of the exterior has dims %r, expected [0, 1, 1]"
@@ -498,8 +502,8 @@ def wang_product_check(fk, rep, tol=None):
     h2 = -(blocks @ unit_cocycle)
     based = BasedChainComplex(
         total.dims, total.boundaries, direction="cochain",
-        homology_bases=[None, h1[:, None], h2[:, None]], tol=tol)
-    return sign_determined_torsion(based, tol) * torsion(wang, tol)
+        homology_bases=[None, h1[:, None], h2[:, None]], tol=rep.tol)
+    return sign_determined_torsion(based) * torsion(wang)
 
 
 # -- trace-coordinate machinery (genus one) -----------------------------------
@@ -706,7 +710,7 @@ def _normal_form_pair(x1, x2, x3):
     return A, B
 
 
-def lift_character_to_rep(fk, point, flavor=SL2C, meridian_sign=1, tol=None):
+def lift_character_to_rep(fk, point, flavor=SL2C, meridian_sign=1, tol=RANK_TOL):
     """Representation of the knot group over a fixed-locus character point.
 
     The fiber generators get matrices with the prescribed traces (SL2C
@@ -714,9 +718,8 @@ def lift_character_to_rep(fk, point, flavor=SL2C, meridian_sign=1, tol=None):
     is the intertwiner T with T rho(phi(x)) = rho(x) T, normalized to
     determinant one by the principal square root.  `meridian_sign` selects
     between the two lifts T and -T, which differ by the center and carry the
-    same torsion.
+    same torsion.  `tol` is the representation's rank cutoff.
     """
-    tol = tol or DEFAULT_TOL
     if fk.genus != 1:
         raise InvalidInputError("character lifting is implemented for genus one")
     x1, x2, x3 = (complex(point[0]), complex(point[1]), complex(point[2]))
@@ -771,9 +774,10 @@ def lift_character_to_rep(fk, point, flavor=SL2C, meridian_sign=1, tol=None):
     return Representation(fk.presentation(), images, flavor=flavor, tol=tol)
 
 
-def random_conjugate(rep, rng, su2=False):
-    """Conjugate by a random group element (SU(2) when asked)."""
-    if su2:
+def random_conjugate(rep, rng):
+    """Conjugate by a random element of the representation's group: SU(2)
+    for an SU(2) representation, SL2(C) otherwise."""
+    if rep.flavor == SU2:
         q = rng.standard_normal(4)
         q = q / np.linalg.norm(q)
         g = np.array([[q[0] + 1j * q[1], q[2] + 1j * q[3]],

@@ -1,40 +1,23 @@
 """Small dense linear algebra with an explicit numerical-rank policy.
 
 Everything downstream (homology, torsion, eigenvalue splitting) makes rank
-decisions through one rule, `_rank`, with the singular-value thresholds
-collected in `Tolerances`, so the policy lives in one place and can be
-overridden per computation.  Ranks and orthonormal bases all come from numpy
-SVDs; numpy is the only dependency.
+decisions through one rule, `_rank`, with one relative singular-value cutoff.
+Its default is `RANK_TOL`; a different cutoff enters where the data is made
+(`Representation(tol=)`, `BasedChainComplex(tol=)`, the CLI's `--tol`) and
+travels on the representation and the complex.  The two other thresholds are
+fixed: `RELATOR_TOL`, the allowed ||rho(r) - 1|| of a representation (looser
+than the rank cutoff: representation solving is itself numerical), and
+`UNIT_EIGENVALUE_TOL`, the |lambda - 1| below which an eigenvalue of the
+twisted monodromy counts as the geometric eigenvalue 1 (eigenvalues of
+nonsymmetric matrices are less stable than singular values).  Ranks and
+orthonormal bases all come from numpy SVDs; numpy is the only dependency.
 """
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used across the package.
-
-    rank            -- relative singular-value cutoff for rank decisions
-    relator         -- allowed ||rho(r) - 1|| when validating representations
-                       (looser than `rank`: representation solving is itself
-                       numerical)
-    unit_eigenvalue -- |lambda - 1| below which an eigenvalue of the twisted
-                       monodromy counts as the geometric eigenvalue 1
-                       (eigenvalues of nonsymmetric matrices are less stable
-                       than singular values)
-    """
-
-    rank: float = 1e-9
-    relator: float = 1e-8
-    unit_eigenvalue: float = 1e-6
-
-    def with_rank(self, rank):
-        return replace(self, rank=rank)
-
-
-DEFAULT_TOL = Tolerances()
+RANK_TOL = 1e-9
+RELATOR_TOL = 1e-8
+UNIT_EIGENVALUE_TOL = 1e-6
 
 
 def _as_matrix(m):
@@ -46,12 +29,12 @@ def _as_matrix(m):
 
 def _rank(s, tol):
     """The package's one rank rule: the number of singular values `s`
-    (descending) above tol.rank times the largest, or times 1 if that is
+    (descending) above tol times the largest, or times 1 if that is
     smaller."""
-    return int(np.sum(s > tol.rank * max(s[0], 1.0))) if s.size else 0
+    return int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
 
 
-def numerical_rank(m, tol=DEFAULT_TOL):
+def numerical_rank(m, tol=RANK_TOL):
     """Rank of `m` by SVD, under the rank rule."""
     m = _as_matrix(m)
     if 0 in m.shape:
@@ -59,7 +42,7 @@ def numerical_rank(m, tol=DEFAULT_TOL):
     return _rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
-def nullspace(m, tol=DEFAULT_TOL):
+def nullspace(m, tol=RANK_TOL):
     """Orthonormal basis (columns) of ker(m)."""
     m = _as_matrix(m)
     if m.shape[0] == 0:
@@ -70,7 +53,7 @@ def nullspace(m, tol=DEFAULT_TOL):
     return vh[_rank(s, tol):].conj().T
 
 
-def column_space(m, tol=DEFAULT_TOL):
+def column_space(m, tol=RANK_TOL):
     """Orthonormal basis (columns) of the column space of `m`."""
     m = _as_matrix(m)
     if 0 in m.shape:
@@ -79,7 +62,7 @@ def column_space(m, tol=DEFAULT_TOL):
     return u[:, :_rank(s, tol)]
 
 
-def orthogonal_complement(basis, dim, tol=DEFAULT_TOL):
+def orthogonal_complement(basis, dim, tol=RANK_TOL):
     """Orthonormal basis of the orthogonal complement of span(basis) in C^dim."""
     basis = _as_matrix(basis) if np.size(basis) else np.zeros((dim, 0), dtype=complex)
     if basis.shape[1] == 0:
@@ -88,7 +71,7 @@ def orthogonal_complement(basis, dim, tol=DEFAULT_TOL):
     return u[:, _rank(s, tol):]
 
 
-def solve_in_span(basis, vectors, tol=DEFAULT_TOL):
+def solve_in_span(basis, vectors):
     """Coordinates of `vectors` (columns) in span(basis); raises if outside.
 
     Returns x with basis @ x ~= vectors.

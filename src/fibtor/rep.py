@@ -16,7 +16,7 @@ power of the Euler characteristic, which is 0.
 import numpy as np
 
 from .errors import RelatorViolationError
-from .linalg import DEFAULT_TOL
+from .linalg import RANK_TOL, RELATOR_TOL
 from .torsion import BasedChainComplex
 from .words import GroupRingElement, Word
 
@@ -77,10 +77,11 @@ class Representation:
     presentation, acting on words and on the group ring through Ad.
 
     `images` may be a list (indexed like the presentation generators) or a
-    dict keyed by generator name.
+    dict keyed by generator name.  `tol` is the rank cutoff that every rank
+    decision made on this representation's data uses.
     """
 
-    def __init__(self, presentation, images, flavor=SL2C, tol=DEFAULT_TOL,
+    def __init__(self, presentation, images, flavor=SL2C, tol=RANK_TOL,
                  check=True):
         self.presentation = presentation
         if isinstance(images, dict):
@@ -140,7 +141,7 @@ class Representation:
 
     def check_relators(self):
         defect = self.relator_defect()
-        if defect > self.tol.relator:
+        if defect > RELATOR_TOL:
             raise RelatorViolationError(
                 "representation violates a relator (defect %.3e)" % defect)
         return defect
@@ -201,8 +202,9 @@ def fox_adjoint_blocks(rep, word):
     return np.cumsum(spread, axis=1)[:, -1]
 
 
-def twisted_cochain_complex(presentation, rep, tol=None):
-    """The adjoint-twisted cochain complex of the presentation 2-complex.
+def twisted_cochain_complex(rep):
+    """The adjoint-twisted cochain complex of the 2-complex of the
+    representation's presentation, under the representation's rank cutoff.
 
     Degrees 0, 1, 2 have dimensions 3, 3g, 3r for g generators and r
     relators.  With the left cocycle convention h(uv) = h(u) + Ad_{rho(u)} h(v),
@@ -214,8 +216,8 @@ def twisted_cochain_complex(presentation, rep, tol=None):
     Fox derivative.  d1 o d0 = 0 is the fundamental Fox identity and is
     verified at construction.
     """
-    tol = tol or rep.tol
     rep.check_relators()
+    presentation = rep.presentation
     ng = presentation.generator_count
     nr = len(presentation.relators)
     d0 = coboundary_matrix(rep.images)
@@ -224,7 +226,7 @@ def twisted_cochain_complex(presentation, rep, tol=None):
         for i, block in enumerate(fox_adjoint_blocks(rep, r)):
             d1[3 * k:3 * k + 3, 3 * i:3 * i + 3] = block
     return BasedChainComplex([3, 3 * ng, 3 * nr], [d0, d1],
-                             direction="cochain", tol=tol)
+                             direction="cochain", tol=rep.tol)
 
 
 # -- explicit SU(2) elements --------------------------------------------------

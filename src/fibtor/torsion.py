@@ -28,7 +28,7 @@ any torsion or sign bookkeeping happens.
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
+    RANK_TOL,
     _rank,
     column_space,
     numerical_rank,
@@ -75,10 +75,11 @@ class BasedChainComplex:
     homology_bases, when given, is a per-degree list of matrices whose
     columns are cycle representatives forming a basis of the homology in
     that degree (entries may be None in degrees of trivial homology).
+    tol is the rank cutoff of every rank decision made on the complex.
     """
 
     def __init__(self, dims, boundaries, direction="chain", homology_bases=None,
-                 tol=DEFAULT_TOL):
+                 tol=RANK_TOL):
         if direction not in ("chain", "cochain"):
             raise ChainComplexError("direction must be 'chain' or 'cochain'")
         self.dims = [int(d) for d in dims]
@@ -180,7 +181,7 @@ class HomologyData:
         self.lifts = lifts
         self.dims = [h.shape[1] for h in homology]
 
-    def class_coordinates(self, degree, vectors, tol=DEFAULT_TOL):
+    def class_coordinates(self, degree, vectors):
         """Coordinates of the homology classes of cycle `vectors` in the
         degree-`degree` homology basis."""
         H = self.homology[degree]
@@ -191,20 +192,20 @@ class HomologyData:
         M = np.hstack([H, B])
         if M.shape[1] == 0:
             return np.zeros((0, vectors.shape[1]), dtype=complex)
-        x = solve_in_span(M, vectors, tol)
+        x = solve_in_span(M, vectors)
         return x[:H.shape[1], :]
 
 
-def homology(cx, tol=None):
+def homology(cx):
     """Cycle, boundary, lift and homology bases of `cx`, degree by degree.
 
     One SVD d = U S V^H of rank r per differential gives the cycles of its
     source degree (V's trailing columns), the lifts b^i there (V's leading
     r columns) and the boundaries of its target degree (U's leading r
     columns).  Homology bases are the orthogonal complements of B_i inside
-    Z_i; the dimension satisfies dim H_i = dim Z_i - dim B_i.
+    Z_i; the dimension satisfies dim H_i = dim Z_i - dim B_i.  Every rank
+    is decided under the complex's cutoff `cx.tol`.
     """
-    tol = tol or cx.tol
     cycles = [np.eye(m, dtype=complex) for m in cx.dims]
     bnds = [np.zeros((m, 0), dtype=complex) for m in cx.dims]
     lifts = list(bnds)
@@ -212,7 +213,7 @@ def homology(cx, tol=None):
         src, tgt = (k + 1, k) if cx.direction == "chain" else (k, k + 1)
         if d.size:
             u, s, vh = np.linalg.svd(d)
-            r = _rank(s, tol)
+            r = _rank(s, cx.tol)
             cycles[src] = vh[r:].conj().T
             lifts[src] = vh[:r].conj().T
             bnds[tgt] = u[:, :r]
@@ -222,11 +223,11 @@ def homology(cx, tol=None):
         if Bm.shape[1] > Z.shape[1]:
             raise ChainComplexError("boundary space exceeds cycle space at degree %d" % i)
         W = Z - Bm @ (Bm.conj().T @ Z) if Bm.shape[1] else Z
-        hom.append(column_space(W, tol))
+        hom.append(column_space(W, cx.tol))
     return HomologyData(cycles, bnds, hom, lifts)
 
 
-def _resolve_homology_bases(cx, hdata, tol):
+def _resolve_homology_bases(cx, hdata):
     """Homology bases to use for torsion: supplied ones, validated; the
     computed ones only where the supplied entry is missing but trivial."""
     bases = []
@@ -253,15 +254,15 @@ def _resolve_homology_bases(cx, hdata, tol):
                 1.0, np.linalg.norm(supplied)):
             raise ChainComplexError("supplied basis at degree %d is not made of cycles" % i)
         # ... and project to an independent family in homology
-        coords = hdata.class_coordinates(i, supplied, tol)
-        if numerical_rank(coords, tol) < want:
+        coords = hdata.class_coordinates(i, supplied)
+        if numerical_rank(coords, cx.tol) < want:
             raise ChainComplexError(
                 "supplied vectors at degree %d do not span the homology" % i)
         bases.append(supplied)
     return bases
 
 
-def torsion(cx, tol=None, rng=None):
+def torsion(cx, rng=None):
     """Reidemeister torsion of a based, homology based complex.
 
     The internal choices (the families b^i and the homology lifts) are
@@ -269,13 +270,12 @@ def torsion(cx, tol=None, rng=None):
     re-randomizes them, which must not change the value -- torsion is
     independent of these choices.
     """
-    tol = tol or cx.tol
     c = cx.to_chain()
-    hdata = homology(c, tol)
-    return _torsion(c, hdata, _resolve_homology_bases(c, hdata, tol), tol, rng)
+    hdata = homology(c)
+    return _torsion(c, hdata, _resolve_homology_bases(c, hdata), rng)
 
 
-def _torsion(c, hdata, hbases, tol, rng=None):
+def _torsion(c, hdata, hbases, rng=None):
     """tor of the chain complex `c` from its decomposition `hdata` and the
     homology bases `hbases`."""
     n = c.top_degree
@@ -310,7 +310,7 @@ def _torsion(c, hdata, hbases, tol, rng=None):
                 "degenerate decomposition at degree %d: %r columns for dim %d"
                 % (i, M.shape[1], m))
         det = np.linalg.det(M)
-        if abs(det) <= tol.rank:
+        if abs(det) <= c.tol:
             raise ChainComplexError("degenerate lift system at degree %d" % i)
         value *= det ** ((-1) ** (i + 1))
     return complex(value)
@@ -338,31 +338,29 @@ def sign_parities(dims, homology_dims):
     return alphas.tolist(), betas.tolist(), total
 
 
-def complex_sign(cx, tol=None):
+def complex_sign(cx):
     """|C_*| of a complex, computed in the homological convention."""
-    tol = tol or cx.tol
     c = cx.to_chain()
-    hdims = homology(c, tol).dims
+    hdims = homology(c).dims
     return sign_parities(c.dims, hdims)[2]
 
 
-def sign_determined_torsion(cx, tol=None, rng=None):
+def sign_determined_torsion(cx, rng=None):
     """Turaev's sign-corrected torsion (-1)^{|C_*|} tor(C_*).
 
     Coincides with plain torsion on acyclic complexes.
     """
     if len(cx.dims) == 0 or sum(cx.dims) == 0:
         return 1.0 + 0j
-    tol = tol or cx.tol
     c = cx.to_chain()
-    hdata = homology(c, tol)
+    hdata = homology(c)
     return (-1) ** sign_parities(c.dims, hdata.dims)[2] * _torsion(
-        c, hdata, _resolve_homology_bases(c, hdata, tol), tol, rng)
+        c, hdata, _resolve_homology_bases(c, hdata), rng)
 
 
 # -- multiplicativity --------------------------------------------------------
 
-def multiplicativity_signs(dims_sub, dims_total, dims_quot,
+def multiplicativity_signs(dims_sub, dims_quot,
                            hdims_sub, hdims_total, hdims_quot):
     """Sign exponents (alpha, epsilon) of the multiplicativity lemma.
 
@@ -373,7 +371,6 @@ def multiplicativity_signs(dims_sub, dims_total, dims_quot,
       epsilon = sum_i [(beta_i(C)+1)(beta_i(C')+beta_i(C''))
                         + beta_{i-1}(C') beta_i(C'')]   (mod 2).
     """
-    del dims_total  # alpha only involves the sub and quotient complexes
     ap = np.cumsum(dims_sub) % 2
     app = np.cumsum(dims_quot) % 2
     alpha = 0
@@ -389,15 +386,15 @@ def multiplicativity_signs(dims_sub, dims_total, dims_quot,
     return int(alpha) % 2, int(eps) % 2
 
 
-def induced_map_on_homology(f_by_degree, degree, hsrc, htgt, tol=DEFAULT_TOL):
+def induced_map_on_homology(f_by_degree, degree, hsrc, htgt):
     """Matrix of the map induced on degree-`degree` homology by a chain map
     given degreewise by the matrices `f_by_degree`."""
     f = f_by_degree[degree]
     img = f @ hsrc.homology[degree]
-    return htgt.class_coordinates(degree, img, tol)
+    return htgt.class_coordinates(degree, img)
 
 
-def connecting_map(degree, incl, proj, c_total, hsub, hquot, tol=DEFAULT_TOL):
+def connecting_map(degree, incl, proj, c_total, hsub, hquot):
     """Connecting homomorphism H_degree(C'') -> H_{degree-1}(C') of a
     degreewise short exact sequence, computed by the usual zig-zag.
 
@@ -411,18 +408,18 @@ def connecting_map(degree, incl, proj, c_total, hsub, hquot, tol=DEFAULT_TOL):
         z = hquot.homology[degree][:, k]
         y, *_ = np.linalg.lstsq(proj[degree], z, rcond=None)
         w = d @ y
-        v = solve_in_span(incl[degree - 1], w[:, None], tol)[:, 0]
-        out.append(hsub.class_coordinates(degree - 1, v, tol)[:, 0])
+        v = solve_in_span(incl[degree - 1], w[:, None])[:, 0]
+        out.append(hsub.class_coordinates(degree - 1, v)[:, 0])
     if not out:
         return np.zeros((hsub.dims[degree - 1], 0), dtype=complex)
     return np.column_stack(out)
 
 
-def long_exact_sequence(hs, ht, hq, c_total, incl, proj, tol=DEFAULT_TOL):
+def long_exact_sequence(hs, ht, hq, c_total, incl, proj):
     """The homology long exact sequence of a short exact sequence, as a based
     chain complex H_* with H_{3i} = H_i(C''), H_{3i+1} = H_i(C),
     H_{3i+2} = H_i(C'), in the homology bases of the sub, total and quotient
-    decompositions `hs`, `ht`, `hq`.
+    decompositions `hs`, `ht`, `hq`, under the rank cutoff of `c_total`.
     """
     n = c_total.top_degree
     dims = []
@@ -431,17 +428,16 @@ def long_exact_sequence(hs, ht, hq, c_total, incl, proj, tol=DEFAULT_TOL):
     diffs = []
     for i in range(n + 1):
         # H_i(C) -> H_i(C'')
-        diffs.append(induced_map_on_homology(proj, i, ht, hq, tol))
+        diffs.append(induced_map_on_homology(proj, i, ht, hq))
         # H_i(C') -> H_i(C)
-        diffs.append(induced_map_on_homology(incl, i, hs, ht, tol))
+        diffs.append(induced_map_on_homology(incl, i, hs, ht))
         if i < n:
             # H_{i+1}(C'') -> H_i(C')
-            diffs.append(connecting_map(i + 1, incl, proj, c_total, hs, hq, tol))
-    return BasedChainComplex(dims, diffs, direction="chain", tol=tol)
+            diffs.append(connecting_map(i + 1, incl, proj, c_total, hs, hq))
+    return BasedChainComplex(dims, diffs, direction="chain", tol=c_total.tol)
 
 
-def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, tol=None,
-                           return_parts=False):
+def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, return_parts=False):
     """Residual of the multiplicativity identity on a short exact sequence.
 
     Checks that incl/proj form a degreewise short exact sequence with
@@ -452,7 +448,6 @@ def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, tol=None,
     which vanishes (within numerical error) on valid input.  With
     `return_parts` the individual factors and sign exponents come back too.
     """
-    tol = tol or c_total.tol
     if not (c_sub.direction == c_total.direction == c_quot.direction):
         raise ChainComplexError("complexes must share the direction convention")
     cs, ct, cq = c_sub.to_chain(), c_total.to_chain(), c_quot.to_chain()
@@ -465,9 +460,9 @@ def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, tol=None,
         incl = list(reversed(incl))
         proj = list(reversed(proj))
     for i in range(n + 1):
-        if numerical_rank(incl[i], tol) < cs.dims[i]:
+        if numerical_rank(incl[i], ct.tol) < cs.dims[i]:
             raise ChainComplexError("inclusion not injective at degree %d" % i)
-        if numerical_rank(proj[i], tol) < cq.dims[i]:
+        if numerical_rank(proj[i], ct.tol) < cq.dims[i]:
             raise ChainComplexError("projection not surjective at degree %d" % i)
         if incl[i].size and proj[i].size and np.linalg.norm(proj[i] @ incl[i]) > 1e-7 * max(
                 1.0, np.linalg.norm(incl[i])):
@@ -485,17 +480,16 @@ def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, tol=None,
                     "bases incompatible at degree %d ([c/c'c''] = %s)" % (i, det))
 
     # one decomposition per complex, in the homology bases torsion uses
-    hs, ht, hq = (_with_resolved_bases(c, homology(c, tol), tol) for c in (cs, ct, cq))
-    les = long_exact_sequence(hs, ht, hq, ct, incl, proj, tol)
-    hl = homology(les, tol)
+    hs, ht, hq = (_with_resolved_bases(c, homology(c)) for c in (cs, ct, cq))
+    les = long_exact_sequence(hs, ht, hq, ct, incl, proj)
+    hl = homology(les)
     if any(d != 0 for d in hl.dims):
         raise ChainComplexError("long exact sequence is not exact (sequence invalid)")
 
-    tor_les = _torsion(les, hl, hl.homology, tol)
-    Tc, Ts, Tq = ((-1) ** sign_parities(c.dims, h.dims)[2] * _torsion(c, h, h.homology, tol)
+    tor_les = _torsion(les, hl, hl.homology)
+    Tc, Ts, Tq = ((-1) ** sign_parities(c.dims, h.dims)[2] * _torsion(c, h, h.homology)
                   for c, h in ((ct, ht), (cs, hs), (cq, hq)))
-    alpha, eps = multiplicativity_signs(cs.dims, ct.dims, cq.dims,
-                                        hs.dims, ht.dims, hq.dims)
+    alpha, eps = multiplicativity_signs(cs.dims, cq.dims, hs.dims, ht.dims, hq.dims)
     rhs = (-1) ** ((alpha + eps) % 2) * Ts * Tq * tor_les
     residual = abs(Tc - rhs)
     if return_parts:
@@ -506,10 +500,10 @@ def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, tol=None,
     return residual
 
 
-def _with_resolved_bases(cx, hdata, tol):
+def _with_resolved_bases(cx, hdata):
     """`hdata` in the homology bases torsion uses for `cx`: the supplied
     ones, validated, or else the computed ones."""
     if cx.homology_bases is None:
         return hdata
     return HomologyData(hdata.cycles, hdata.boundaries,
-                        _resolve_homology_bases(cx, hdata, tol), hdata.lifts)
+                        _resolve_homology_bases(cx, hdata), hdata.lifts)

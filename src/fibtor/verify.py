@@ -223,7 +223,7 @@ def check_cohomology_dims(rng, perturb=False):
     t2 = GroupPresentation(["m", "l"], ["m l M L"])
     for _ in range(10):
         rep = _random_hyperbolic_torus_rep(rng, t2)
-        dims = homology(twisted_cochain_complex(t2, rep)).dims
+        dims = homology(twisted_cochain_complex(rep)).dims
         if dims != [1, 2, 1]:
             return False, "torus rep gave dims %r" % (dims,)
     free2 = GroupPresentation(["a", "b"], [])
@@ -231,14 +231,14 @@ def check_cohomology_dims(rng, perturb=False):
     for _ in range(10):
         a, b = _normal_form_pair(*_random_irreducible_pair(rng))
         rep = Representation(free2, [a, b], flavor=SL2C)
-        dims = homology(twisted_cochain_complex(free2, rep)).dims
+        dims = homology(twisted_cochain_complex(rep)).dims
         if dims != [0, 3, 0]:
             return False, "free-group rep gave dims %r" % (dims,)
     fk_t, reps = _trefoil_su2_samples(4, rng)
     fk_f, _, reps_f = _fig8_samples(4, rng)
     for fk, rr in ((fk_t, reps), (fk_f, reps_f)):
         for rep in rr:
-            dims = homology(twisted_cochain_complex(fk.presentation(), rep)).dims
+            dims = homology(twisted_cochain_complex(rep)).dims
             if dims != [0, 1, 1]:
                 return False, "%s exterior gave dims %r" % (fk.name, dims)
     return True, "torus (1,2,1) x10; free rank 2 (0,3) x10; exteriors (0,1,1) x8"
@@ -404,11 +404,11 @@ def check_conjugation_invariance(rng, perturb=False):
     worst = 0.0
     fk_t, reps_t = _trefoil_su2_samples(3, rng)
     fk_f, _, reps_f = _fig8_samples(3, rng)
-    for fk, reps, su2 in ((fk_t, reps_t, True), (fk_f, reps_f, False)):
+    for fk, reps in ((fk_t, reps_t), (fk_f, reps_f)):
         for rep in reps:
             base = main_theorem_torsion(fk, rep).torsion
             for _ in range(10):
-                conj = random_conjugate(rep, rng, su2=su2)
+                conj = random_conjugate(rep, rng)
                 value = main_theorem_torsion(fk, conj).torsion
                 worst = max(worst, abs(value - base))
     return worst <= 1e-8, "max |T(g rho g^-1) - T(rho)| = %.2e" % worst

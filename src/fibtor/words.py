@@ -6,6 +6,11 @@ an uppercase initial letter marking the inverse: "a B t" is a b^-1 t.
 """
 
 
+def inverse_spelling(name):
+    """How the inverse of generator `name` is written: initial uppercased."""
+    return name[0].upper() + name[1:]
+
+
 class Word:
     """A word in a free group, stored as a tuple of (generator, exponent).
 
@@ -65,8 +70,7 @@ class Word:
     def to_string(self, names):
         toks = []
         for g, e in self.letters:
-            name = names[g]
-            toks.append(name if e == 1 else name[0].upper() + name[1:])
+            toks.append(names[g] if e == 1 else inverse_spelling(names[g]))
         return " ".join(toks)
 
     @classmethod
@@ -74,7 +78,7 @@ class Word:
         """Parse "a B t" style words; uppercase initial letter = inverse."""
         lookup = {n: (i, 1) for i, n in enumerate(names)}
         for i, n in enumerate(names):
-            lookup[n[0].upper() + n[1:]] = (i, -1)
+            lookup[inverse_spelling(n)] = (i, -1)
         letters = []
         for tok in text.split():
             if tok not in lookup:

@@ -71,10 +71,14 @@ def test_compute_reducible_character_fails_with_code(capsys):
     assert "REDUCIBLE_CHARACTER" in err
 
 
+def _reject_constant(name):
+    raise ValueError("%s is not strict JSON" % name)
+
+
 def test_compute_torus_closed_form(capsys):
     out, _ = run(capsys, "compute", "--knot", "torus(2,3)", "--x", "1,1",
                  "--format", "json")
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=_reject_constant)
     assert abs(report["torsion_re"] + 1.0 / 3.0) < 1e-12
     assert report["method"] == "closed_form"
 
@@ -185,7 +189,18 @@ def _bad_knot_files(tmp_path):
     disagrees = dict(good, trace_map=["x1", "x2", "x3"])
     unknown_generator = dict(good, monodromy={"a": "a c", "b": "b a b"})
     missing_key = {k: v for k, v in good.items() if k != "monodromy"}
+    # without a trace map, so that nothing but the names can refuse the file
+    bare = {k: v for k, v in good.items() if k != "trace_map"}
     return probe, {
+        "genus_float": json.dumps(dict(good, genus=1.9)),
+        "genus_string": json.dumps(dict(good, genus="1")),
+        "genus_bool": json.dumps(dict(good, genus=True)),
+        "generator_empty": json.dumps(dict(
+            bare, fiber_generators=["", "b"], monodromy={"": "b", "b": "b"})),
+        "generator_spells_an_inverse": json.dumps(dict(
+            bare, fiber_generators=["a", "A"], monodromy={"a": "a A", "A": "A a A"})),
+        "generator_is_its_own_inverse": json.dumps(dict(
+            bare, fiber_generators=["a", "2b"], monodromy={"a": "a 2b", "2b": "2b a 2b"})),
         "runs_code": json.dumps(runs_code),
         "disagrees": json.dumps(disagrees),
         "unknown_generator": json.dumps(unknown_generator),
@@ -195,7 +210,10 @@ def _bad_knot_files(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["runs_code", "disagrees", "unknown_generator",
-                                  "missing_key", "truncated"])
+                                  "missing_key", "truncated", "genus_float",
+                                  "genus_string", "genus_bool", "generator_empty",
+                                  "generator_spells_an_inverse",
+                                  "generator_is_its_own_inverse"])
 def test_malformed_knot_file_is_invalid_input(tmp_path, capsys, case):
     probe, files = _bad_knot_files(tmp_path)
     path = tmp_path / ("%s.json" % case)
@@ -258,6 +276,25 @@ def test_sweep_row_whose_normal_form_underflows(capsys):
     assert len(lines) == 3
     assert lines[1] == "-200000000,,,,,INVALID_INPUT"
     assert lines[2].startswith("0.5,-0.333333333333,")
+
+
+@pytest.mark.parametrize("source", [["--knot", "trefoil", "--x", "1,1,1"],
+                                    ["--knot", "figure_eight", "--holonomy", "plus"]])
+def test_tol_reaches_the_rank_decisions(capsys, source):
+    # the fiber restriction's coboundary matrix has rank 3 with a smallest
+    # singular value between 0.1 and 0.5 of the largest
+    _, err = run(capsys, "compute", *source, "--tol", "0.5", expect=1)
+    assert err.startswith("error[REDUCIBLE_RESTRICTION]: ")
+    out, _ = run(capsys, "compute", *source, "--tol", "0.1", "--format", "json")
+    assert json.loads(out)["torsion_re"] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+
+
+def test_sweep_tol_reaches_every_row(capsys):
+    out, _ = run(capsys, "sweep", "--knot", "trefoil", "--grid", "x=-0.9:1.9:20",
+                 "--tol", "0.5", expect=1)
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 20
+    assert all(row.endswith(",,,,,REDUCIBLE_RESTRICTION") for row in rows)
 
 
 @pytest.mark.parametrize("spec", ["x=0:1:1000001", "x1=0:1:1000,x2=0:1:1000,x3=0:1:2"])

@@ -213,6 +213,14 @@ def test_conjugation_invariance():
                                                                        abs=1e-9)
 
 
+def test_random_conjugate_stays_in_su2():
+    rep = lift_character_to_rep(trefoil(), (0.5, 0.5, 0.5), flavor=SU2)
+    conj = random_conjugate(rep, np.random.default_rng(5))
+    assert conj.flavor == SU2
+    for m in conj.images:
+        assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
+
+
 def test_meridian_sign_does_not_change_torsion():
     fk = figure_eight()
     pt = fig8_locus_point(0.3)
@@ -259,7 +267,7 @@ def test_wang_product_normalization():
 def test_exterior_cohomology_dims():
     fk = figure_eight()
     rep = lift_character_to_rep(fk, fig8_locus_point(0.5))
-    cx = twisted_cochain_complex(fk.presentation(), rep)
+    cx = twisted_cochain_complex(rep)
     assert homology(cx).dims == [0, 1, 1]
 
 

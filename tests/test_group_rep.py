@@ -325,7 +325,7 @@ def _hyperbolic_torus_rep(conjugate=True):
 
 def test_torus_twisted_dimensions():
     pres, rep = _hyperbolic_torus_rep()
-    cx = twisted_cochain_complex(pres, rep)
+    cx = twisted_cochain_complex(rep)
     assert cx.dims == [3, 6, 3]
     assert homology(cx).dims == [1, 2, 1]
 
@@ -337,7 +337,7 @@ def test_torus_abelian_h0_is_one():
     para = Representation(pres, [np.array([[1.0, 1.0], [0.0, 1.0]]),
                                  np.array([[1.0, -2.0], [0.0, 1.0]])])
     for rep in (hyper, para):
-        dims = homology(twisted_cochain_complex(pres, rep)).dims
+        dims = homology(twisted_cochain_complex(rep)).dims
         assert dims[0] == 1
 
 
@@ -348,13 +348,13 @@ def test_free_group_twisted_dimensions():
         if abs(commutator_trace(np.trace(A), np.trace(B), np.trace(A @ B)) - 2) > 0.3:
             break
     rep = Representation(pres, [A, B])
-    cx = twisted_cochain_complex(pres, rep)
+    cx = twisted_cochain_complex(rep)
     assert homology(cx).dims == [0, 3, 0]
 
 
 def test_twisted_complex_euler_characteristic():
     pres, rep = _hyperbolic_torus_rep()
-    cx = twisted_cochain_complex(pres, rep)
+    cx = twisted_cochain_complex(rep)
     chi_cells = 3 * (1 - pres.generator_count + len(pres.relators))
     hdims = homology(cx).dims
     assert chi_cells == hdims[0] - hdims[1] + hdims[2]
@@ -364,7 +364,7 @@ def test_twisted_complex_rejects_non_representation():
     pres = GroupPresentation(["a", "b"], ["a b A B"])
     with pytest.raises(RelatorViolationError):
         rep = Representation(pres, [random_sl2(), random_sl2()], check=False)
-        twisted_cochain_complex(pres, rep)
+        twisted_cochain_complex(rep)
 
 
 def test_twisted_complex_matches_group_ring_assembly():
@@ -375,7 +375,7 @@ def test_twisted_complex_matches_group_ring_assembly():
                       (figure_eight(), (0.3, 0.3 / (0.3 - 1.0), 0.3))):
         cases.append((fk.presentation(), lift_character_to_rep(fk, point)))
     for pres, rep in cases:
-        d1 = twisted_cochain_complex(pres, rep).boundaries[1]
+        d1 = twisted_cochain_complex(rep).boundaries[1]
         ng = pres.generator_count
         ref = np.zeros((3 * len(pres.relators), 3 * ng), dtype=complex)
         for k, r in enumerate(pres.relators):

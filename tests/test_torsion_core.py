@@ -65,6 +65,17 @@ def test_homology_multiplication_by_two():
     assert homology(cx).dims == [0, 0]
 
 
+def test_homology_ranks_under_the_complexs_cutoff():
+    # a singular value of 1e-6 counts under the default cutoff and not under
+    # 1e-3, in either direction and after normalizing to the chain convention
+    d = np.diag([1.0, 1e-6])
+    for direction in ("chain", "cochain"):
+        fine = BasedChainComplex([2, 2], [d], direction=direction, tol=1e-9)
+        coarse = BasedChainComplex([2, 2], [d], direction=direction, tol=1e-3)
+        assert homology(fine).dims == homology(fine.to_chain()).dims == [0, 0]
+        assert homology(coarse).dims == homology(coarse.to_chain()).dims == [1, 1]
+
+
 def test_dd_nonzero_rejected():
     d2 = np.array([[1.0]])
     d1 = np.array([[1.0]])
@@ -221,7 +232,7 @@ def test_cochain_chain_directions_consistent():
 
 def test_multiplicativity_signs_zero():
     z = [0, 0, 0]
-    assert multiplicativity_signs(z, z, z, z, z, z) == (0, 0)
+    assert multiplicativity_signs(z, z, z, z, z) == (0, 0)
 
 
 def test_multiplicativity_signs_twisted_wang_dims():
@@ -230,7 +241,7 @@ def test_multiplicativity_signs_twisted_wang_dims():
     sub_dims, sub_h = [6, 9, 3], [1, 1, 0]
     fib_dims, fib_h = [6, 3], [0, 3]          # fiber complex at its own length
     fib_dims3, fib_h3 = fib_dims + [0], fib_h + [0]
-    alpha, eps = multiplicativity_signs(sub_dims, fib_dims3, fib_dims3,
+    alpha, eps = multiplicativity_signs(sub_dims, fib_dims3,
                                         sub_h, fib_h3, fib_h3)
     assert (alpha, eps) == (1, 0)
 
@@ -239,7 +250,7 @@ def test_multiplicativity_signs_real_wang_dims():
     sub_dims, sub_h = [2, 3, 1], [0, 1, 1]
     fib_dims, fib_h = [2, 1], [2, 1]
     fib_dims3, fib_h3 = fib_dims + [0], fib_h + [0]
-    alpha, eps = multiplicativity_signs(sub_dims, fib_dims3, fib_dims3,
+    alpha, eps = multiplicativity_signs(sub_dims, fib_dims3,
                                         sub_h, fib_h3, fib_h3)
     assert (alpha, eps) == (1, 1)
 
