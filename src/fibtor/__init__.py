@@ -28,7 +28,6 @@ from .torsion import (
     BasedChainComplex,
     ChainComplexError,
     change_of_basis_det,
-    complex_sign,
     homology,
     multiplicativity_check,
     multiplicativity_signs,
@@ -52,10 +51,10 @@ from .fibered import (
     abelianized_monodromy,
     eigenvalues_excluding_one,
     epsilon0,
-    fixed_point_characters,
     jacobian_torsion,
     lift_character_to_rep,
     main_theorem_torsion,
+    sample_fixed_locus,
     torus_closed_form,
     wang_exact_sequence,
     wang_product_check,

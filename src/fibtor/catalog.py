@@ -137,8 +137,7 @@ def holonomy_representation(sign=1, tol=RANK_TOL):
     rank cutoff.
     """
     fk = figure_eight()
-    rep = lift_character_to_rep(fk, fk.locus_chart.holonomy, flavor=SL2C,
-                                meridian_sign=1, tol=tol)
+    rep = lift_character_to_rep(fk, fk.locus_chart.holonomy, flavor=SL2C, tol=tol)
     T = rep.image(fk.meridian)
     # move the fixed line of the parabolic T to the first coordinate axis
     N = T - np.eye(2)

@@ -93,8 +93,8 @@ def _representation(fk, args, tol):
             images = {name: np.array([[complex(c[0], c[1]) for c in row] for row in mat])
                       for name, mat in json.loads(text)["images"].items()}
             return Representation(fk.presentation(), images, tol=tol)
-        except (AttributeError, IndexError, KeyError, RecursionError, TypeError,
-                ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, OverflowError, RecursionError,
+                TypeError, ValueError) as exc:
             raise InvalidInputError("malformed rep file (%s: %s)"
                                     % (type(exc).__name__, exc)) from exc
     if args.holonomy:

@@ -8,11 +8,6 @@ Every failure mode that can surface through the CLI carries a stable
 class FibtorError(Exception):
     code = "ERROR"
 
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
-
 
 class ReducibleCharacterError(FibtorError):
     """Character has commutator trace 2: no irreducible representation."""

@@ -71,6 +71,9 @@ class FiberedKnot:
         if genus < 1:
             raise InvalidInputError("genus must be positive")
         self.genus = genus
+        if not isinstance(fiber_generators, list):
+            raise InvalidInputError("fiber_generators must be a list of names, not %r"
+                                    % (fiber_generators,))
         self.fiber_generators = list(fiber_generators)
         if len(self.fiber_generators) != 2 * self.genus:
             raise InvalidInputError("need 2*genus fiber generators")
@@ -84,6 +87,9 @@ class FiberedKnot:
             raise InvalidInputError("generator names %r collide: a name or its "
                                     "inverse spelling is used twice" % (names,))
         self.meridian = meridian
+        if not isinstance(monodromy, dict) or set(monodromy) != set(self.fiber_generators):
+            raise InvalidInputError("monodromy must map exactly the fiber generators "
+                                    "%r to words" % (self.fiber_generators,))
         self.monodromy = {}
         for g in self.fiber_generators:
             w = monodromy[g]
@@ -211,13 +217,11 @@ class MonodromyAction:
     coboundaries: matrix of d^0, whose column space B^1 must be preserved
     complement: orthonormal basis of the quotient model of H^1(F)
     quotient:   induced matrix on H^1(F), size 6g-3
-    meridian_image: rho(t)
     """
     full: np.ndarray
     coboundaries: np.ndarray
     complement: np.ndarray
     quotient: np.ndarray
-    meridian_image: np.ndarray
 
 
 def monodromy_action(fk, rep):
@@ -262,7 +266,7 @@ def monodromy_action(fk, rep):
             "relators" % resid)
     comp = orthogonal_complement(bspace, 3 * n, rep.tol)
     quotient = comp.conj().T @ full @ comp
-    return MonodromyAction(full, d0, comp, quotient, T)
+    return MonodromyAction(full, d0, comp, quotient)
 
 
 def _unit_eigenvalue(evs):
@@ -410,13 +414,16 @@ def wang_complex(fk, rep):
     map.  Returns (complex, action, basis)."""
     act = monodromy_action(fk, rep)
     basis = _unit_last_basis(act.quotient)
-    mq_block = np.linalg.solve(basis, act.quotient @ basis)
-    n = mq_block.shape[0]
+    n = basis.shape[0]
+    diff = np.eye(n, dtype=complex) - np.linalg.solve(basis, act.quotient @ basis)
+    # the basis puts the unit eigenvector last, so the last row and column of
+    # I - mq vanish; set them to exact zeros, not roundoff near the cutoff
+    diff[-1, :] = diff[:, -1] = 0.0
     last = np.zeros((n, 1), dtype=complex)
     last[n - 1, 0] = 1.0
     cochain = BasedChainComplex(
         [1, n, n, 1],
-        [last, np.eye(n, dtype=complex) - mq_block, last.T.copy()],
+        [last, diff, last.T.copy()],
         direction="cochain",
         tol=rep.tol,
     )
@@ -497,7 +504,7 @@ def wang_product_check(fk, rep):
     # h2: connecting image of the unit eigenvector (cone identification,
     # oriented to match Tor(C) * Tor(Wang) = -1)
     unit_cocycle = act.complement @ basis[:, -1]
-    adTi = adjoint(sl2_inverse(act.meridian_image))
+    adTi = adjoint(sl2_inverse(rep.image(fk.meridian)))
     blocks = np.kron(np.eye(n), adTi)
     h2 = -(blocks @ unit_cocycle)
     based = BasedChainComplex(
@@ -654,42 +661,29 @@ class TraceCoordMap:
         return kappa(*self.polynomials) == kappa(*({m: 1} for m in (_X1, _X2, _X3)))
 
 
-class FixedLocus:
-    """Fixed locus P(x) = x of a catalog knot's trace map: its relations,
-    computed on access, and a sampler on the knot's locus chart."""
-
-    def __init__(self, fk):
-        if fk.trace_map is None or fk.locus_chart is None:
-            raise InvalidInputError("knot %r has no locus chart" % fk.name)
-        self.trace_map, self.chart = fk.trace_map, fk.locus_chart
-
-    @property
-    def relations(self):
-        return self.trace_map.fixed_locus_relations()
-
-    def sample(self, count, rng=None, kind="complex"):
-        """`count` irreducible points: kind 'su2' from the real range of SU(2)
-        characters, 'real' from the real irreducible range, others complex."""
-        rng = rng or np.random.default_rng(0)
-        ranges = self.chart.ranges.get(kind, self.chart.ranges["complex"])
-        pts = []
-        while len(pts) < count:
-            c = complex(*(rng.uniform(lo, hi) for lo, hi in ranges))
-            if self.chart.pole is not None and abs(c - self.chart.pole) < 1e-3:
+def sample_fixed_locus(fk, count, rng, kind="complex"):
+    """`count` irreducible points of the fixed locus P(x) = x, drawn on the
+    knot's locus chart: kind 'su2' from the real range of SU(2) characters,
+    'real' from the real irreducible range, others complex."""
+    chart = fk.locus_chart
+    if chart is None:
+        raise InvalidInputError("knot %r has no locus chart" % fk.name)
+    ranges = chart.ranges.get(kind, chart.ranges["complex"])
+    pts = []
+    while len(pts) < count:
+        c = complex(*(rng.uniform(lo, hi) for lo, hi in ranges))
+        if chart.pole is not None and abs(c - chart.pole) < 1e-3:
+            continue
+        p = chart.point(c)
+        if abs(commutator_trace(*p) - 2.0) <= 1e-6:
+            continue
+        if kind == "su2":
+            try:
+                su2_pair(p[0].real, p[1].real, p[2].real)
+            except ValueError:
                 continue
-            p = self.chart.point(c)
-            if abs(commutator_trace(*p) - 2.0) <= 1e-6:
-                continue
-            if kind == "su2":
-                try:
-                    su2_pair(p[0].real, p[1].real, p[2].real)
-                except ValueError:
-                    continue
-            pts.append(p)
-        return pts
-
-
-fixed_point_characters = FixedLocus
+        pts.append(p)
+    return pts
 
 
 # -- lifting characters to representations ------------------------------------
@@ -710,15 +704,14 @@ def _normal_form_pair(x1, x2, x3):
     return A, B
 
 
-def lift_character_to_rep(fk, point, flavor=SL2C, meridian_sign=1, tol=RANK_TOL):
+def lift_character_to_rep(fk, point, flavor=SL2C, tol=RANK_TOL):
     """Representation of the knot group over a fixed-locus character point.
 
     The fiber generators get matrices with the prescribed traces (SL2C
     normal form, or an honest SU(2) pair for flavor SU2); the meridian image
     is the intertwiner T with T rho(phi(x)) = rho(x) T, normalized to
-    determinant one by the principal square root.  `meridian_sign` selects
-    between the two lifts T and -T, which differ by the center and carry the
-    same torsion.  `tol` is the representation's rank cutoff.
+    determinant one by the principal square root.  `tol` is the
+    representation's rank cutoff.
     """
     if fk.genus != 1:
         raise InvalidInputError("character lifting is implemented for genus one")
@@ -767,8 +760,6 @@ def lift_character_to_rep(fk, point, flavor=SL2C, meridian_sign=1, tol=RANK_TOL)
     if abs(det) < 1e-12:
         raise NotFixedPointError("intertwiner is singular")
     T = T / cmath.sqrt(det)
-    if meridian_sign == -1:
-        T = -T
     images = {fk.fiber_generators[0]: A, fk.fiber_generators[1]: B,
               fk.meridian: T}
     return Representation(fk.presentation(), images, flavor=flavor, tol=tol)

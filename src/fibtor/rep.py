@@ -31,7 +31,10 @@ _SL2_STACK = np.array(SL2_BASIS)
 
 
 def is_unimodular(m):
-    return abs(np.linalg.det(m) - 1.0) <= 1e-8
+    """Whether the 2x2 matrix `m` has determinant 1; Python complex arithmetic
+    reads a NaN or an overflowing determinant as False, without a warning."""
+    (a, b), (c, d) = np.asarray(m).tolist()
+    return abs(a * d - b * c - 1.0) <= 1e-8
 
 
 def is_special_unitary(m):
@@ -95,6 +98,8 @@ class Representation:
         self._adjoints = {}
         if check:
             for m in self.images:
+                if m.shape != (2, 2):
+                    raise ValueError("generator image is not a 2x2 matrix")
                 if not is_unimodular(m):
                     raise ValueError("generator image is not unimodular")
                 if flavor == SU2 and not is_special_unitary(m):
@@ -132,16 +137,15 @@ class Representation:
         return out
 
     def relator_defect(self):
-        """Largest ||rho(r) - 1|| over the presentation's relators."""
-        worst = 0.0
-        for r in self.presentation.relators:
-            worst = max(worst, np.linalg.norm(
-                self.evaluate_word(r) - np.eye(2)))
-        return worst
+        """Largest ||rho(r) - 1|| over the presentation's relators; inf or NaN,
+        without a warning, when a product overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.max([np.linalg.norm(self.evaluate_word(r) - np.eye(2))
+                           for r in self.presentation.relators], initial=0.0)
 
     def check_relators(self):
         defect = self.relator_defect()
-        if defect > RELATOR_TOL:
+        if not defect <= RELATOR_TOL:  # a NaN defect fails too
             raise RelatorViolationError(
                 "representation violates a relator (defect %.3e)" % defect)
         return defect

@@ -72,9 +72,9 @@ class BasedChainComplex:
     ``boundaries[i]`` has shape (dims[i+1], dims[i]).  The composite of
     consecutive differentials must vanish within tolerance.
 
-    homology_bases, when given, is a per-degree list of matrices whose
+    homology_bases, when given, has one entry per degree: a matrix whose
     columns are cycle representatives forming a basis of the homology in
-    that degree (entries may be None in degrees of trivial homology).
+    that degree, or None in a degree of trivial homology.
     tol is the rank cutoff of every rank decision made on the complex.
     """
 
@@ -103,20 +103,14 @@ class BasedChainComplex:
         self.tol = tol
         self.homology_bases = None
         if homology_bases is not None:
-            hb = []
-            for i, h in enumerate(homology_bases):
-                if h is None:
-                    hb.append(None)
-                    continue
-                h = np.asarray(h, dtype=complex)
-                if h.ndim == 1:
-                    h = h[:, None]
-                if h.shape[0] != self.dims[i]:
+            if len(homology_bases) != len(self.dims):
+                raise ChainComplexError("expected %d homology bases, got %d"
+                                        % (len(self.dims), len(homology_bases)))
+            self.homology_bases = [None if h is None else np.asarray(h, dtype=complex)
+                                   for h in homology_bases]
+            for i, h in enumerate(self.homology_bases):
+                if h is not None and h.shape[0] != self.dims[i]:
                     raise ChainComplexError("homology basis %d has wrong ambient dim" % i)
-                hb.append(h)
-            while len(hb) < len(self.dims):
-                hb.append(None)
-            self.homology_bases = hb
         self._check_dd()
 
     # -- construction helpers -------------------------------------------------
@@ -325,27 +319,16 @@ def random_invertible(rng, n):
     return q @ np.diag(np.exp(0.3 * rng.standard_normal(n)))
 
 
-def sign_parities(dims, homology_dims):
-    """(alpha_i), (beta_i) and the total parity |C_*| of a chain complex.
-
-    alpha_i and beta_i are the cumulative chain/homology dimensions mod 2;
-    |C_*| = sum_i alpha_i beta_i mod 2 is the exponent of the
-    sign-determined correction.
-    """
+def sign_parity(dims, homology_dims):
+    """The parity |C_*| = sum_i alpha_i beta_i mod 2 of a chain complex, the
+    exponent of the sign-determined correction; alpha_i and beta_i are the
+    cumulative chain and homology dimensions mod 2."""
     alphas = np.cumsum(dims) % 2
     betas = np.cumsum(homology_dims) % 2
-    total = int(np.sum(alphas * betas)) % 2
-    return alphas.tolist(), betas.tolist(), total
+    return int(np.sum(alphas * betas)) % 2
 
 
-def complex_sign(cx):
-    """|C_*| of a complex, computed in the homological convention."""
-    c = cx.to_chain()
-    hdims = homology(c).dims
-    return sign_parities(c.dims, hdims)[2]
-
-
-def sign_determined_torsion(cx, rng=None):
+def sign_determined_torsion(cx):
     """Turaev's sign-corrected torsion (-1)^{|C_*|} tor(C_*).
 
     Coincides with plain torsion on acyclic complexes.
@@ -354,8 +337,8 @@ def sign_determined_torsion(cx, rng=None):
         return 1.0 + 0j
     c = cx.to_chain()
     hdata = homology(c)
-    return (-1) ** sign_parities(c.dims, hdata.dims)[2] * _torsion(
-        c, hdata, _resolve_homology_bases(c, hdata), rng)
+    return (-1) ** sign_parity(c.dims, hdata.dims) * _torsion(
+        c, hdata, _resolve_homology_bases(c, hdata))
 
 
 # -- multiplicativity --------------------------------------------------------
@@ -487,7 +470,7 @@ def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, return_parts=Fals
         raise ChainComplexError("long exact sequence is not exact (sequence invalid)")
 
     tor_les = _torsion(les, hl, hl.homology)
-    Tc, Ts, Tq = ((-1) ** sign_parities(c.dims, h.dims)[2] * _torsion(c, h, h.homology)
+    Tc, Ts, Tq = ((-1) ** sign_parity(c.dims, h.dims) * _torsion(c, h, h.homology)
                   for c, h in ((ct, ht), (cs, hs), (cq, hq)))
     alpha, eps = multiplicativity_signs(cs.dims, cq.dims, hs.dims, ht.dims, hq.dims)
     rhs = (-1) ** ((alpha + eps) % 2) * Ts * Tq * tor_les

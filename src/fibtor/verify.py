@@ -14,11 +14,11 @@ import numpy as np
 from .catalog import figure_eight, holonomy_representation, trefoil
 from .fibered import (
     epsilon0,
-    fixed_point_characters,
     lift_character_to_rep,
     main_theorem_torsion,
     monodromy_action,
     random_conjugate,
+    sample_fixed_locus,
     torus_closed_form,
     wang_exact_sequence,
     wang_product_check,
@@ -39,7 +39,7 @@ from .words import GroupPresentation
 # -- random complexes (used here and by the test suite) ------------------------
 
 
-def random_based_complex(rng, max_degree=4, max_dim=6):
+def random_based_complex(rng, max_degree=4):
     """A random based, homology based chain complex with controlled
     conditioning: a sum of elementary pieces (isomorphisms and bare homology
     summands) pushed through random well-conditioned basis changes."""
@@ -49,7 +49,7 @@ def random_based_complex(rng, max_degree=4, max_dim=6):
     dims = [hdims[i]
             + (pairs[i] if i < n else 0)
             + (pairs[i - 1] if i > 0 else 0) for i in range(n + 1)]
-    dims = [min(d, max_dim) for d in dims]
+    dims = [min(d, 6) for d in dims]
     # canonical block differentials
     ds = []
     for i in range(1, n + 1):
@@ -77,12 +77,12 @@ def random_based_complex(rng, max_degree=4, max_dim=6):
     return BasedChainComplex(dims, nds, direction="chain", homology_bases=nhb)
 
 
-def random_block_sum_ses(rng, max_degree=3):
+def random_block_sum_ses(rng):
     """A short exact sequence C' >-> C' (+) C'' ->> C'' with block bases and
     generically mixed homology bases on the middle complex."""
-    c1 = random_based_complex(rng, max_degree)
+    c1 = random_based_complex(rng, 3)
     while True:
-        c2 = random_based_complex(rng, max_degree)
+        c2 = random_based_complex(rng, 3)
         if c2.top_degree == c1.top_degree:
             break
     n = c1.top_degree
@@ -121,15 +121,14 @@ def random_block_sum_ses(rng, max_degree=3):
 
 def _trefoil_su2_samples(count, rng):
     fk = trefoil()
-    pts = fixed_point_characters(fk).sample(count, rng, kind="su2")
+    pts = sample_fixed_locus(fk, count, rng, kind="su2")
     return fk, [lift_character_to_rep(fk, pt, flavor=SU2) for pt in pts]
 
 
 def _fig8_samples(count, rng):
     fk = figure_eight()
-    locus = fixed_point_characters(fk)
-    pts = (locus.sample((count + 1) // 2, rng, kind="real")
-           + locus.sample(count // 2, rng, kind="complex"))
+    pts = (sample_fixed_locus(fk, (count + 1) // 2, rng, kind="real")
+           + sample_fixed_locus(fk, count // 2, rng))
     return fk, pts, [lift_character_to_rep(fk, pt) for pt in pts]
 
 

@@ -8,7 +8,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import numpy as np
 
@@ -201,6 +201,11 @@ def _bad_knot_files(tmp_path):
             bare, fiber_generators=["a", "A"], monodromy={"a": "a A", "A": "A a A"})),
         "generator_is_its_own_inverse": json.dumps(dict(
             bare, fiber_generators=["a", "2b"], monodromy={"a": "a 2b", "2b": "2b a 2b"})),
+        # a string is not split into one-letter names
+        "generators_a_string": json.dumps(dict(bare, fiber_generators="ab")),
+        # every monodromy key is a fiber generator, and each is parsed
+        "monodromy_extra_key": json.dumps(dict(
+            bare, monodromy=dict(bare["monodromy"], c="zzz"))),
         "runs_code": json.dumps(runs_code),
         "disagrees": json.dumps(disagrees),
         "unknown_generator": json.dumps(unknown_generator),
@@ -213,7 +218,8 @@ def _bad_knot_files(tmp_path):
                                   "missing_key", "truncated", "genus_float",
                                   "genus_string", "genus_bool", "generator_empty",
                                   "generator_spells_an_inverse",
-                                  "generator_is_its_own_inverse"])
+                                  "generator_is_its_own_inverse",
+                                  "generators_a_string", "monodromy_extra_key"])
 def test_malformed_knot_file_is_invalid_input(tmp_path, capsys, case):
     probe, files = _bad_knot_files(tmp_path)
     path = tmp_path / ("%s.json" % case)
@@ -226,6 +232,15 @@ def test_malformed_knot_file_is_invalid_input(tmp_path, capsys, case):
     assert not probe.exists()
 
 
+_ONE = b"[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
+
+
+def _trefoil_rep_file(a, b=_ONE):
+    """A trefoil rep file with the JSON matrices `a`, `b` and the identity for t."""
+    return (["compute", "--knot", "trefoil", "--rep-file", "{path}"],
+            b'{"images": {"a": %s, "b": %s, "t": %s}}' % (a, b, _ONE))
+
+
 # argv (a file's path spelled "{path}") and the file's bytes, if any
 BAD_INPUTS = {
     "rep_file_without_images": (
@@ -233,6 +248,13 @@ BAD_INPUTS = {
     "rep_file_integer_entries": (
         ["compute", "--knot", "figure_eight", "--rep-file", "{path}"],
         b'{"images": {"a": [[1, 0], [0, 1]]}}'),
+    # the determinant is NaN, or overflows; an integer too large for a float
+    "rep_file_nan_entry": _trefoil_rep_file(b"[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]"),
+    "rep_file_huge_entries": _trefoil_rep_file(
+        b"[[[1e308, 0], [1e308, 0]], [[1e308, 0], [1, 0]]]"),
+    "rep_file_integer_overflows": _trefoil_rep_file(
+        b"[[[1" + b"0" * 400 + b", 0], [0, 0]], [[0, 0], [1, 0]]]"),
+    "rep_file_not_2x2": _trefoil_rep_file(b"[[[1, 0], [0, 0], [0, 0]]]"),
     "knot_file_not_utf8": (
         ["compute", "--knot-file", "{path}", "--x", "1,1,1"], b"\xff\xfe\x7b"),
     "grid_repeated_coordinate": (
@@ -256,6 +278,7 @@ BAD_INPUTS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_invalid_input(tmp_path, capsys, case):
     argv, content = BAD_INPUTS[case]
@@ -268,6 +291,21 @@ def test_bad_input_is_invalid_input(tmp_path, capsys, case):
     assert err.startswith("error[INVALID_INPUT]: ")
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b", [_ONE, b"[[[1e200, 0], [-1e200, 0]], [[0, 0], [1e-200, 0]]]"],
+                         ids=["identity", "huge"])
+def test_rep_file_whose_relator_products_overflow(tmp_path, capsys, b):
+    # unimodular images whose relator words overflow to a NaN defect, which
+    # max() used to drop: with the huge b the file then ended in an SVD traceback
+    argv, content = _trefoil_rep_file(
+        b"[[[1e200, 0], [1e200, 0]], [[0, 0], [1e-200, 0]]]", b)
+    path = tmp_path / "rep.json"
+    path.write_bytes(content)
+    code = main([a.replace("{path}", str(path)) for a in argv])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error[RELATOR_VIOLATION]: ")
 
 
 def test_sweep_row_whose_normal_form_underflows(capsys):
@@ -375,11 +413,8 @@ _ARGV = st.tuples(
 ).map(lambda t: t[1] + ["--knot", t[0]] + ([] if t[2] is None else ["--tol=" + t[2]]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(_ARGV)
-def test_cli_boundary_exits_cleanly(argv):
-    # any sweep grid, --x triple or --tol ends in a documented exit code:
-    # no traceback, no numpy warning
+def _assert_exits_cleanly(argv):
+    # a documented exit code: no traceback, no numpy warning
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("error")
@@ -388,3 +423,54 @@ def test_cli_boundary_exits_cleanly(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_ARGV)
+def test_cli_boundary_exits_cleanly(argv):
+    # any sweep grid, --x triple or --tol
+    _assert_exits_cleanly(argv)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=8)
+_NAME = st.sampled_from(["a", "b", "t", "A", "c", ""]) | st.text(max_size=2)
+_WORD = st.lists(_NAME, max_size=4).map(" ".join)
+# a figure-eight knot file with each field kept or replaced, the optional
+# ones also dropped
+_KNOT_DOC = st.fixed_dictionaries({
+    "genus": st.just(1) | st.integers(-1, 3) | _JSON,
+    "fiber_generators": st.just(["a", "b"]) | st.lists(_NAME, max_size=3) | _JSON,
+    "monodromy": (st.just({"a": "a b", "b": "b a b"})
+                  | st.dictionaries(_NAME, _WORD | _JSON, max_size=3) | _JSON),
+}, optional={
+    "name": _JSON,
+    "meridian": st.just("t") | _NAME | _JSON,
+    "trace_map": (st.just(["x3", "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"])
+                  | st.lists(st.text("x123+-* 0", max_size=6), max_size=4) | _JSON),
+})
+# 2x2 matrices of [re, im] pairs, with any float in them
+_MATRIX = st.lists(st.lists(st.tuples(st.floats(), st.floats()).map(list),
+                            min_size=2, max_size=2), min_size=2, max_size=2)
+_REP_DOC = (st.fixed_dictionaries({"images": st.fixed_dictionaries(
+                {"a": _MATRIX, "b": _MATRIX, "t": _MATRIX})})
+            | st.fixed_dictionaries({"images": st.dictionaries(_NAME, _MATRIX | _JSON,
+                                                               max_size=4)})
+            | _JSON)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    _KNOT_DOC.map(lambda doc: (doc, ["--knot-file", "{path}", "--x", "0.5,-1,0.5"])),
+    st.tuples(_REP_DOC, st.sampled_from(["trefoil", "figure_eight"])).map(
+        lambda t: (t[0], ["--knot", t[1], "--rep-file", "{path}"]))))
+def test_cli_input_files_exit_cleanly(tmp_path, case):
+    # any JSON in a knot file or a rep file
+    doc, argv = case
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    _assert_exits_cleanly(["compute"] + [a.replace("{path}", str(path)) for a in argv])

@@ -27,7 +27,6 @@ from fibtor import (
     eigenvalues_excluding_one,
     epsilon0,
     figure_eight,
-    fixed_point_characters,
     homology,
     jacobian_torsion,
     lift_character_to_rep,
@@ -45,6 +44,7 @@ from fibtor.fibered import (
     monodromy_action,
     parse_polynomial,
     random_conjugate,
+    sample_fixed_locus,
     trace_polynomial,
 )
 from fibtor.linalg import column_space
@@ -222,12 +222,14 @@ def test_random_conjugate_stays_in_su2():
 
 
 def test_meridian_sign_does_not_change_torsion():
+    # the lifts T and -T of the meridian differ by the center
     fk = figure_eight()
-    pt = fig8_locus_point(0.3)
-    t1 = main_theorem_torsion(fk, lift_character_to_rep(fk, pt)).torsion
-    t2 = main_theorem_torsion(
-        fk, lift_character_to_rep(fk, pt, meridian_sign=-1)).torsion
-    assert t1 == pytest.approx(t2)
+    rep = lift_character_to_rep(fk, fig8_locus_point(0.3))
+    images = {g: rep.image(g) for g in fk.fiber_generators}
+    images[fk.meridian] = -rep.image(fk.meridian)
+    flipped = Representation(fk.presentation(), images)
+    assert (main_theorem_torsion(fk, flipped).torsion
+            == pytest.approx(main_theorem_torsion(fk, rep).torsion))
 
 
 # -- Wang identities --------------------------------------------------------------------
@@ -264,6 +266,30 @@ def test_wang_product_normalization():
         assert wang_product_check(fk, rep) == pytest.approx(-1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("offset", [2e-9, 1e-7])
+def test_wang_complex_with_unit_eigenvalue_just_off_one(monkeypatch, offset):
+    # a unit eigenvalue at 1 - offset passes UNIT_EIGENVALUE_TOL, but a
+    # roundoff-sized 1 - lambda_unit left on the diagonal of I - mq gave the
+    # Wang complex spurious homology (2e-9, near the rank cutoff) or broke
+    # d o d = 0 (1e-7)
+    import fibtor.fibered as fibered
+    original = fibered.monodromy_action
+
+    def shifted(fk, rep):
+        act = original(fk, rep)
+        evs, vecs = np.linalg.eig(act.quotient)
+        evs[np.argmin(abs(evs - 1.0))] = 1.0 - offset
+        act.quotient = vecs @ np.diag(evs) @ np.linalg.inv(vecs)
+        return act
+
+    monkeypatch.setattr(fibered, "monodromy_action", shifted)
+    fk = figure_eight()
+    rep = lift_character_to_rep(fk, (0.3, 0.3 / (0.3 - 1.0), 0.3))
+    lams = eigenvalues_excluding_one(shifted(fk, rep).quotient)
+    assert wang_sequence_torsion(fk, rep) == pytest.approx(
+        np.prod([1.0 - lam for lam in lams]), rel=1e-12)
+
+
 def test_exterior_cohomology_dims():
     fk = figure_eight()
     rep = lift_character_to_rep(fk, fig8_locus_point(0.5))
@@ -296,8 +322,7 @@ def test_figure_eight_jacobian_at_origin():
 def test_trace_map_matches_monodromy_traces():
     # P(x(rho)) equals the traces of rho o phi on sampled representations
     for fk in (trefoil(), figure_eight()):
-        locus = fixed_point_characters(fk)
-        for pt in locus.sample(3, rng):
+        for pt in sample_fixed_locus(fk, 3, rng):
             rep = lift_character_to_rep(fk, pt)
             a1, b1 = (rep.evaluate_word(fk.monodromy[g])
                       for g in fk.fiber_generators)
@@ -321,11 +346,17 @@ def test_fixed_locus_relations():
         return (all(gb_got.reduce(p)[1] == 0 for p in want)
                 and all(gb_want.reduce(p)[1] == 0 for p in got))
 
-    tref = fixed_point_characters(trefoil())
-    assert same_ideal(tref.relations, [x1 - x3, x2 - x3])
-    fig = fixed_point_characters(figure_eight())
+    tref = trefoil().trace_map.fixed_locus_relations()
+    assert same_ideal(tref, [x1 - x3, x2 - x3])
+    fig = figure_eight().trace_map.fixed_locus_relations()
     # the locus is x3 = x1 together with x1 + x2 = x1 x2
-    assert same_ideal(fig.relations, [x1 - x3, x1 * x2 - x1 - x2])
+    assert same_ideal(fig, [x1 - x3, x1 * x2 - x1 - x2])
+
+
+def test_sampling_needs_a_locus_chart():
+    fk = FiberedKnot.from_json(figure_eight().to_json())
+    with pytest.raises(InvalidInputError, match="no locus chart"):
+        sample_fixed_locus(fk, 1, rng)
 
 
 def test_identity_trace_map_fixes_everything():
@@ -335,8 +366,7 @@ def test_identity_trace_map_fixes_everything():
 
 def test_locus_samples_are_fixed_and_irreducible():
     for fk in (trefoil(), figure_eight()):
-        locus = fixed_point_characters(fk)
-        for pt in locus.sample(5, rng, kind="complex"):
+        for pt in sample_fixed_locus(fk, 5, rng, kind="complex"):
             moved = fk.trace_map(pt)
             assert np.allclose(moved, pt, atol=1e-9)
 
@@ -473,8 +503,7 @@ def test_lift_off_locus_rejected():
 def test_trefoil_meridian_trace_form():
     # the meridian trace stays within sqrt(3) on the SU(2) family
     fk = trefoil()
-    locus = fixed_point_characters(fk)
-    for pt in locus.sample(8, rng, kind="su2"):
+    for pt in sample_fixed_locus(fk, 8, rng, kind="su2"):
         rep = lift_character_to_rep(fk, pt, flavor=SU2)
         tr = complex(np.trace(rep.image("t")))
         assert abs(tr.imag) < 1e-9

@@ -10,7 +10,6 @@ from fibtor import (
     BasedChainComplex,
     ChainComplexError,
     change_of_basis_det,
-    complex_sign,
     homology,
     multiplicativity_check,
     multiplicativity_signs,
@@ -18,7 +17,7 @@ from fibtor import (
     torsion,
 )
 from fibtor.linalg import column_space, nullspace, numerical_rank
-from fibtor.torsion import random_invertible
+from fibtor.torsion import random_invertible, sign_parity
 from fibtor.verify import random_based_complex, random_block_sum_ses
 
 
@@ -139,6 +138,12 @@ def test_torsion_requires_homology_bases():
         torsion(cx)
 
 
+def test_homology_bases_need_one_entry_per_degree():
+    with pytest.raises(ChainComplexError, match="expected 2 homology bases, got 1"):
+        BasedChainComplex([1, 2], [np.array([[1.0, 0.0]])],
+                          homology_bases=[None])
+
+
 def test_torsion_rejects_non_cycle_basis():
     d = np.array([[1.0, 0.0]])
     bad = np.array([[1.0], [0.0]])  # not in ker d
@@ -156,7 +161,7 @@ def test_sign_determined_on_acyclic_equals_plain():
 
 def test_sign_determined_single_degree():
     cx = BasedChainComplex([1], [], homology_bases=[np.array([[1.0]])])
-    assert complex_sign(cx) == 1
+    assert sign_parity(cx.dims, homology(cx).dims) == 1
     assert sign_determined_torsion(cx) == pytest.approx(-1.0)
 
 
