@@ -83,52 +83,33 @@ class TorusKnotEntry:
         return torus_closed_form(self.p, self.q, a, b)
 
 
-class CatalogEntry:
-    def __init__(self, name, knot=None, torus=None):
-        self.name = name
-        self.knot = knot
-        self.torus = torus
-
-    @property
-    def genus(self):
-        return self.knot.genus if self.knot is not None else self.torus.genus
-
-    @property
-    def methods(self):
-        if self.torus is not None:
-            return ["closed_form"]
-        out = ["cohomology"]
-        if self.knot.trace_map is not None:
-            out.append("jacobian")
-        return out
+# name -> builder of each catalog entry, in `list` order
+_ENTRIES = {"trefoil": trefoil, "figure_eight": figure_eight, "torus": TorusKnotEntry}
 
 
 def catalog():
     """All built-in entries."""
-    return [
-        CatalogEntry("trefoil", knot=trefoil()),
-        CatalogEntry("figure_eight", knot=figure_eight()),
-        CatalogEntry("torus", torus=TorusKnotEntry()),
-    ]
+    return [build() for build in _ENTRIES.values()]
 
 
 def get_entry(name):
+    """The catalog knot called `name`, or the `TorusKnotEntry` of `torus` or
+    `torus(p,q)`; only that entry is built."""
     name = name.strip()
     if name.startswith("torus(") and name.endswith(")"):
         try:
             p, q = (int(v) for v in name[len("torus("):-1].split(","))
         except ValueError as exc:
             raise InvalidInputError("bad torus knot spec %r" % name) from exc
-        return CatalogEntry(name, torus=TorusKnotEntry(p, q))
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    raise InvalidInputError("unknown knot %r (try: %s)" % (
-        name, ", ".join(e.name for e in catalog())))
+        return TorusKnotEntry(p, q)
+    if name not in _ENTRIES:
+        raise InvalidInputError("unknown knot %r (try: %s)" % (name, ", ".join(_ENTRIES)))
+    return _ENTRIES[name]()
 
 
-def holonomy_representation(sign=1, tol=RANK_TOL):
-    """A lift of the figure-eight holonomy in the fibered presentation.
+def holonomy_representation(fk, sign=1, tol=RANK_TOL):
+    """A lift of the holonomy of `fk` (the catalog figure-eight, the one knot
+    whose locus chart has a holonomy character) in the fibered presentation.
 
     The meridian image is [[1, 1], [0, 1]] for sign +1 and [[-1, 1], [0, -1]]
     for sign -1 (the two lifts of the same PSL2(C) representation).  The
@@ -136,7 +117,6 @@ def holonomy_representation(sign=1, tol=RANK_TOL):
     [[-1, -2i sqrt 3], [0, -1]]: trace -2.  `tol` is the representation's
     rank cutoff.
     """
-    fk = figure_eight()
     rep = lift_character_to_rep(fk, fk.locus_chart.holonomy, flavor=SL2C, tol=tol)
     T = rep.image(fk.meridian)
     # move the fixed line of the parabolic T to the first coordinate axis
@@ -157,4 +137,4 @@ def holonomy_representation(sign=1, tol=RANK_TOL):
         # conjugate by diag(i, -i) to flip the off-diagonal sign back to +1
         rep = Representation(fk.presentation(), images, flavor=SL2C,
                              tol=rep.tol).conjugate(np.diag([1j, -1j]))
-    return fk, rep
+    return rep

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .catalog import catalog, get_entry, holonomy_representation
+from .catalog import TorusKnotEntry, catalog, get_entry, holonomy_representation
 from .errors import FibtorError, InvalidInputError
 from .fibered import (
     FiberedKnot,
@@ -76,14 +76,12 @@ def _read_text(path, what):
 
 
 def _load_knot(args):
+    """The knot of --knot-file, or the catalog entry --knot names."""
     if args.knot_file:
-        return FiberedKnot.from_json(_read_text(args.knot_file, "knot file")), None
+        return FiberedKnot.from_json(_read_text(args.knot_file, "knot file"))
     if not args.knot:
         raise InvalidInputError("choose a knot with --knot or --knot-file")
-    entry = get_entry(args.knot)
-    if entry.torus is not None:
-        return None, entry.torus
-    return entry.knot, None
+    return get_entry(args.knot)
 
 
 def _representation(fk, args, tol):
@@ -101,9 +99,7 @@ def _representation(fk, args, tol):
         # the catalog figure-eight is the one knot whose chart has holonomy lifts
         if fk.locus_chart is None or fk.locus_chart.holonomy is None:
             raise InvalidInputError("--holonomy is specific to figure_eight")
-        sign = 1 if args.holonomy == "plus" else -1
-        _, rep = holonomy_representation(sign, tol=tol)
-        return rep
+        return holonomy_representation(fk, 1 if args.holonomy == "plus" else -1, tol=tol)
     if args.x:
         point = [_parse_scalar(v) for v in args.x.split(",")]
         if len(point) != 3:
@@ -113,21 +109,25 @@ def _representation(fk, args, tol):
 
 
 def cmd_list(args):
-    entries = catalog()
+    entries = []
+    for e in catalog():
+        if isinstance(e, TorusKnotEntry):
+            methods = ["closed_form"]
+        else:
+            methods = ["cohomology"] + (["jacobian"] if e.trace_map is not None else [])
+        entries.append({"name": e.name, "genus": e.genus, "methods": methods})
     if args.json:
-        print(json.dumps([
-            {"name": e.name, "genus": e.genus, "methods": e.methods}
-            for e in entries]))
+        print(json.dumps(entries))
         return 0
     for e in entries:
-        genus = "?" if e.genus is None else str(e.genus)
-        print("%s genus=%s methods=%s" % (e.name, genus, ",".join(e.methods)))
+        genus = "?" if e["genus"] is None else str(e["genus"])
+        print("%s genus=%s methods=%s" % (e["name"], genus, ",".join(e["methods"])))
     return 0
 
 
 def _print_report(report, as_json):
     if as_json:
-        print(report.to_json())
+        print(json.dumps(report.to_dict()))
         return
     print("torsion  = %s" % _fmt_complex(report.torsion))
     if report.epsilon0:
@@ -142,8 +142,8 @@ def _print_report(report, as_json):
 
 def cmd_compute(args):
     tol = _rank_tol(args)
-    fk, torus = _load_knot(args)
-    if torus is not None:
+    knot = _load_knot(args)
+    if isinstance(knot, TorusKnotEntry):
         if not args.x:
             raise InvalidInputError(
                 "torus knots take --x a,b (representation indices)")
@@ -153,13 +153,13 @@ def cmd_compute(args):
             raise InvalidInputError("torus knots take integers --x a,b (%s)" % exc) from exc
         if len(parts) != 2:
             raise InvalidInputError("torus knots take --x a,b")
-        value = torus.value(*parts)
+        value = knot.value(*parts)
         report = TorsionReport(torsion=complex(value), epsilon0=0,
                                eigenvalues=[], unit_eigenvalue_gap=float("inf"),
-                               method="closed_form", knot=torus.name)
+                               method="closed_form", knot=knot.name)
         _print_report(report, args.format == "json")
         return 0
-    report = main_theorem_torsion(fk, _representation(fk, args, tol))
+    report = main_theorem_torsion(knot, _representation(knot, args, tol))
     _print_report(report, args.format == "json")
     return 0
 
@@ -218,8 +218,8 @@ def _character_from_params(fk, params):
 
 def cmd_sweep(args):
     tol = _rank_tol(args)
-    fk, torus = _load_knot(args)
-    if torus is not None:
+    fk = _load_knot(args)
+    if isinstance(fk, TorusKnotEntry):
         raise InvalidInputError("sweeps need a fibered-knot entry")
     grid = _parse_grid(args.grid)
     names = list(grid)

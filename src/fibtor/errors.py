@@ -39,11 +39,6 @@ class NonSimpleUnitEigenvalueError(FibtorError):
     code = "NONSIMPLE_UNIT_EIGENVALUE"
 
 
-class UnitEigenvalueInProductError(FibtorError):
-    """A retained eigenvalue is too close to 1 to divide by 1 - lambda."""
-    code = "UNIT_EIGENVALUE_IN_PRODUCT"
-
-
 class DegenerateMonodromyError(FibtorError):
     """det(I - abelianized monodromy) = 0: not a fibered-knot monodromy."""
     code = "DEGENERATE_MONODROMY"

@@ -35,7 +35,6 @@ from .errors import (
     ReducibleCharacterError,
     ReducibleRestrictionError,
     RelatorViolationError,
-    UnitEigenvalueInProductError,
 )
 from .linalg import RANK_TOL, UNIT_EIGENVALUE_TOL, column_space, orthogonal_complement
 from .rep import (
@@ -328,17 +327,17 @@ class TorsionReport:
                                            for z in self.jacobian_eigenvalues]
         return out
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
-
-def _product_from_eigenvalues(eps0, lams):
-    gap = min((abs(1.0 - lam) for lam in lams), default=math.inf)
-    if gap <= UNIT_EIGENVALUE_TOL:
-        raise UnitEigenvalueInProductError(
-            "a retained eigenvalue lies within %g of 1" % UNIT_EIGENVALUE_TOL)
+def _report(fk, m, method):
+    """The report of T = -eps0 * prod 1/(1 - lambda_i) over the eigenvalues
+    of `m` other than its unit eigenvalue."""
+    lams = eigenvalues_excluding_one(m)
+    eps0 = epsilon0(fk)
     value = -eps0 * np.prod([1.0 / (1.0 - lam) for lam in lams])
-    return complex(value), gap
+    return TorsionReport(
+        torsion=complex(value), epsilon0=eps0, eigenvalues=lams,
+        unit_eigenvalue_gap=min((abs(1.0 - lam) for lam in lams), default=math.inf),
+        method=method, knot=fk.name)
 
 
 def main_theorem_torsion(fk, rep):
@@ -350,18 +349,7 @@ def main_theorem_torsion(fk, rep):
     map, the report also carries the eigenvalues of the exact trace-map
     Jacobian at the representation's character as an independent cross-check.
     """
-    act = monodromy_action(fk, rep)
-    lams = eigenvalues_excluding_one(act.quotient)
-    eps0 = epsilon0(fk)
-    value, gap = _product_from_eigenvalues(eps0, lams)
-    report = TorsionReport(
-        torsion=value,
-        epsilon0=eps0,
-        eigenvalues=lams,
-        unit_eigenvalue_gap=gap,
-        method="cohomology",
-        knot=fk.name,
-    )
+    report = _report(fk, monodromy_action(fk, rep).quotient, "cohomology")
     if fk.genus == 1:
         point = fk.character_of(rep)
         report.character = point
@@ -376,14 +364,9 @@ def jacobian_torsion(fk, point):
     """Torsion at a genus-one character point via the trace-map Jacobian only."""
     if fk.trace_map is None:
         raise InvalidInputError("knot %r carries no trace-coordinate map" % fk.name)
-    jac = fk.trace_map.jacobian(point)
-    lams = eigenvalues_excluding_one(jac)
-    eps0 = epsilon0(fk)
-    value, gap = _product_from_eigenvalues(eps0, lams)
-    return TorsionReport(
-        torsion=value, epsilon0=eps0, eigenvalues=lams,
-        unit_eigenvalue_gap=gap, method="jacobian", knot=fk.name,
-        character=tuple(map(complex, point)))
+    report = _report(fk, fk.trace_map.jacobian(point), "jacobian")
+    report.character = tuple(map(complex, point))
+    return report
 
 
 # -- Wang sequence ------------------------------------------------------------

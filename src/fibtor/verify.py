@@ -305,10 +305,9 @@ def check_fig8_holonomy_fifth(rng, perturb=False):
     see README, "The figure-eight holonomy value".  The check keeps the
     pinned value and reports the computed one.  Acceptance criterion 05
     runs `fig8_holonomy_third`, which pins -1/3.)"""
-    values = []
-    for sign in (1, -1):
-        fk, rep = holonomy_representation(sign)
-        values.append(main_theorem_torsion(fk, rep).torsion)
+    fk = figure_eight()
+    values = [main_theorem_torsion(fk, holonomy_representation(fk, sign)).torsion
+              for sign in (1, -1)]
     worst = max(abs(v - 0.2) for v in values)
     detail = "computed T(rho+) = %s, T(rho-) = %s; |T - 1/5| = %.3g" % (
         _fmt(values[0]), _fmt(values[1]), worst)
@@ -321,8 +320,9 @@ def check_fig8_holonomy_third(rng, perturb=False):
     (every SL2 lift of a hyperbolic holonomy) and T^2 (17 + 4 tr rho(lambda))
     = 1 (Porti's longitude formula)."""
     worst_t = worst_tr = worst_sq = 0.0
+    fk = figure_eight()
     for sign in (1, -1):
-        fk, rep = holonomy_representation(sign)
+        rep = holonomy_representation(fk, sign)
         value = main_theorem_torsion(fk, rep).torsion
         trace = complex(np.trace(rep.evaluate_word(fk.longitude_word())))
         worst_t = max(worst_t, abs(value - (-1.0 / 3.0)))

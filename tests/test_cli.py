@@ -14,6 +14,7 @@ import numpy as np
 
 from fibtor.cli import MAX_SWEEP_ROWS, _parse_grid, main
 from fibtor.errors import InvalidInputError
+from fibtor.fibered import torus_closed_form
 
 CMD = [sys.executable, "-m", "fibtor.cli"]
 
@@ -28,16 +29,18 @@ def run(capsys, *args, expect=0):
 
 def test_list_text(capsys):
     out, _ = run(capsys, "list")
-    assert "trefoil genus=1 methods=cohomology,jacobian" in out
-    assert "figure_eight genus=1 methods=cohomology,jacobian" in out
-    assert "torus" in out
+    assert out == ("trefoil genus=1 methods=cohomology,jacobian\n"
+                   "figure_eight genus=1 methods=cohomology,jacobian\n"
+                   "torus genus=? methods=closed_form\n")
 
 
 def test_list_json(capsys):
     out, _ = run(capsys, "list", "--json")
-    entries = json.loads(out)
-    names = {e["name"] for e in entries}
-    assert {"trefoil", "figure_eight", "torus"} <= names
+    assert json.loads(out) == [
+        {"name": "trefoil", "genus": 1, "methods": ["cohomology", "jacobian"]},
+        {"name": "figure_eight", "genus": 1, "methods": ["cohomology", "jacobian"]},
+        {"name": "torus", "genus": None, "methods": ["closed_form"]},
+    ]
 
 
 # two smoke tests run `python -m fibtor.cli` for real; the rest call `main`
@@ -81,6 +84,12 @@ def test_compute_torus_closed_form(capsys):
     report = json.loads(out, parse_constant=_reject_constant)
     assert abs(report["torsion_re"] + 1.0 / 3.0) < 1e-12
     assert report["method"] == "closed_form"
+    out, _ = run(capsys, "compute", "--knot", "torus(2,5)", "--x", "1,1",
+                 "--format", "json")
+    assert json.loads(out, parse_constant=_reject_constant) == {
+        "torsion_re": torus_closed_form(2, 5, 1, 1), "torsion_im": 0.0, "epsilon0": 0,
+        "eigenvalues": [], "method": "closed_form", "unit_eigenvalue_gap": None,
+        "knot": "torus(2,5)"}
 
 
 def test_compute_knot_file_and_rep_file(tmp_path, capsys):
@@ -159,6 +168,42 @@ def test_sweep_rows_with_failures_keep_error_codes(tmp_path, capsys):
     assert lines[1].endswith("REDUCIBLE_CHARACTER")
 
 
+def test_sweep_json_rows(capsys):
+    out, _ = run(capsys, "sweep", "--knot", "figure_eight", "--grid", "u=0:2:3",
+                 "--format", "json", expect=1)
+    rows = json.loads(out, parse_constant=_reject_constant)
+    assert [row["u"] for row in rows] == ["0", "1", "2"]
+    csv, _ = run(capsys, "sweep", "--knot", "figure_eight", "--grid", "u=0:2:3",
+                 expect=1)
+    assert format(rows[0]["torsion_re"], ".12g") == csv.split("\n")[1].split(",")[1]
+    assert rows[0]["method"] == "cohomology"
+    assert rows[1] == {"u": "1", "error": "INVALID_INPUT",
+                       "message": "u = 1 is off the locus"}
+    assert rows[2]["error"] == "REDUCIBLE_CHARACTER"
+    assert set(rows[2]) == {"u", "error", "message"}
+
+
+def test_sweep_character_coordinates(capsys):
+    # (-1, 1/2, -1) is on the figure-eight locus, (-1, 1/2, 1) is not
+    out, _ = run(capsys, "sweep", "--knot", "figure_eight",
+                 "--grid", "x1=-1:-1:1,x2=0.5:0.5:1,x3=-1:1:2", expect=1)
+    lines = out.strip().split("\n")
+    assert lines[0] == "x1,x2,x3,torsion_re,torsion_im,epsilon0,eigenvalues,error"
+    assert len(lines) == 3
+    assert lines[1].startswith("-1,0.5,-1,0.25,")
+    assert lines[2] == "-1,0.5,1,,,,,NOT_FIXED_POINT"
+
+
+def test_sweep_coordinate_the_knot_lacks(capsys):
+    out, err = run(capsys, "sweep", "--knot", "trefoil", "--grid", "u=0:1:2",
+                   "--format", "json", expect=1)
+    message = ("unsupported grid coordinates ['u'] for trefoil (use x for trefoil, "
+               "u for figure_eight, or x1,x2,x3)")
+    assert json.loads(out) == [{"u": u, "error": "INVALID_INPUT", "message": message}
+                               for u in ("0", "1")]
+    assert err == ""
+
+
 def test_sweep_empty_grid_rejected(tmp_path, capsys):
     out = tmp_path / "never.csv"
     _, err = run(capsys, "sweep", "--knot", "trefoil", "--grid", "x=0:1:0",
@@ -167,10 +212,17 @@ def test_sweep_empty_grid_rejected(tmp_path, capsys):
     assert "INVALID_INPUT" in err
 
 
-def test_verify_filter_torsion_core(capsys):
-    out, _ = run(capsys, "verify", "--filter", "torsion_core")
-    assert "torsion_core_basis_change" in out
-    assert "trefoil_third" not in out
+def test_verify_filter(capsys):
+    out, _ = run(capsys, "verify", "--filter", "trefoil")
+    assert "trefoil_third" in out
+    assert "trefoil_eigenvalues" in out
+    assert "torsion_core_basis_change" not in out
+    assert out.endswith("2/2 checks passed\n")
+
+
+def test_verify_filter_matching_nothing_is_usage_error(capsys):
+    out, _ = run(capsys, "verify", "--filter", "no_such_check", expect=2)
+    assert out == "no checks match filter 'no_such_check'\n"
 
 
 def test_verify_negative_control(capsys):
@@ -275,6 +327,17 @@ BAD_INPUTS = {
     "tol_not_finite": (["compute", "--knot", "trefoil", "--x", "1,1,1", "--tol", "nan"], None),
     "tol_out_of_range": (["compute", "--knot", "trefoil", "--x", "1,1,1", "--tol=-1"], None),
     "grid_span_overflows": (["sweep", "--knot", "trefoil", "--grid", "x=1e308:-1e308:3"], None),
+    "torus_without_indices": (["compute", "--knot", "torus", "--x", "1,1"], None),
+    "holonomy_not_figure_eight": (
+        ["compute", "--knot", "trefoil", "--holonomy", "plus"], None),
+    "no_knot": (["compute", "--x", "1,1,1"], None),
+    "no_character": (["compute", "--knot", "trefoil"], None),
+    "x_two_values": (["compute", "--knot", "trefoil", "--x", "1,1"], None),
+    "sweep_torus": (["sweep", "--knot", "torus(2,3)", "--grid", "x=0:1:3"], None),
+    "grid_empty": (["sweep", "--knot", "trefoil", "--grid", ""], None),
+    "grid_without_range": (["sweep", "--knot", "trefoil", "--grid", "x"], None),
+    "grid_without_step_count": (["sweep", "--knot", "trefoil", "--grid", "x=0:1"], None),
+    "grid_not_finite": (["sweep", "--knot", "trefoil", "--grid", "x=nan:1:3"], None),
 }
 
 

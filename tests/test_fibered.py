@@ -122,7 +122,8 @@ def test_monodromy_action_needs_the_knot_presentation():
 
 def test_figure_eight_holonomy_unit_eigenvalue_simple():
     from fibtor import holonomy_representation
-    fk, rep = holonomy_representation(1)
+    fk = figure_eight()
+    rep = holonomy_representation(fk, 1)
     m = monodromy_action(fk, rep).quotient
     evs = np.linalg.eigvals(m)
     near_one = np.sum(np.abs(evs - 1.0) < 1e-6)
