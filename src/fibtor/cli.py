@@ -154,8 +154,7 @@ def cmd_compute(args):
         if len(parts) != 2:
             raise InvalidInputError("torus knots take --x a,b")
         value = knot.value(*parts)
-        report = TorsionReport(torsion=complex(value), epsilon0=0,
-                               eigenvalues=[], unit_eigenvalue_gap=float("inf"),
+        report = TorsionReport(torsion=complex(value), epsilon0=0, eigenvalues=[],
                                method="closed_form", knot=knot.name)
         _print_report(report, args.format == "json")
         return 0
@@ -313,10 +312,11 @@ def build_parser():
 
     p_comp = sub.add_parser("compute", parents=[common],
                             help="torsion at one representation")
-    p_comp.add_argument("--x", help="character point x1,x2,x3 (torus: a,b)")
-    p_comp.add_argument("--holonomy", choices=["plus", "minus"],
+    source = p_comp.add_mutually_exclusive_group()  # one representation source
+    source.add_argument("--x", help="character point x1,x2,x3 (torus: a,b)")
+    source.add_argument("--holonomy", choices=["plus", "minus"],
                         help="figure-eight holonomy lift")
-    p_comp.add_argument("--rep-file", help="JSON file with explicit matrices")
+    source.add_argument("--rep-file", help="JSON file with explicit matrices")
     p_comp.add_argument("--format", choices=["text", "json"], default="text")
     p_comp.set_defaults(func=cmd_compute)
 

@@ -36,7 +36,8 @@ from .errors import (
     ReducibleRestrictionError,
     RelatorViolationError,
 )
-from .linalg import RANK_TOL, UNIT_EIGENVALUE_TOL, column_space, orthogonal_complement
+from .linalg import (RANK_TOL, UNIT_EIGENVALUE_TOL, _rank, column_space,
+                     orthogonal_complement)
 from .rep import (
     SL2C,
     SU2,
@@ -301,11 +302,15 @@ class TorsionReport:
     torsion: complex
     epsilon0: int
     eigenvalues: list
-    unit_eigenvalue_gap: float
     method: str
     knot: str = ""
     character: tuple = None
     jacobian_eigenvalues: list = None
+
+    @property
+    def unit_eigenvalue_gap(self):
+        """min |1 - lambda| over the eigenvalues; inf when there are none."""
+        return min((abs(1.0 - lam) for lam in self.eigenvalues), default=math.inf)
 
     def to_dict(self):
         out = {
@@ -335,9 +340,8 @@ def _report(fk, m, method):
     eps0 = epsilon0(fk)
     value = -eps0 * np.prod([1.0 / (1.0 - lam) for lam in lams])
     return TorsionReport(
-        torsion=complex(value), epsilon0=eps0, eigenvalues=lams,
-        unit_eigenvalue_gap=min((abs(1.0 - lam) for lam in lams), default=math.inf),
-        method=method, knot=fk.name)
+        torsion=complex(value), epsilon0=eps0, eigenvalues=lams, method=method,
+        knot=fk.name)
 
 
 def main_theorem_torsion(fk, rep):
@@ -423,21 +427,6 @@ def wang_sequence_torsion(fk, rep):
     return torsion(cochain)
 
 
-def _meridian_block_embedding(fk):
-    """Inclusion/projection matrices of the meridian-direction subcomplex of
-    the presentation cochain complex (the mapping-cone short exact sequence)."""
-    n = 2 * fk.genus
-    incl0 = np.zeros((3, 0), dtype=complex)
-    incl1 = np.zeros((3 * (n + 1), 3), dtype=complex)
-    incl1[3 * n:, :] = np.eye(3)
-    incl2 = np.eye(3 * n, dtype=complex)
-    proj0 = np.eye(3, dtype=complex)
-    proj1 = np.zeros((3 * n, 3 * (n + 1)), dtype=complex)
-    proj1[:, :3 * n] = np.eye(3 * n)
-    proj2 = np.zeros((0, 3 * n), dtype=complex)
-    return [incl0, incl1, incl2], [proj0, proj1, proj2]
-
-
 def wang_exact_sequence(fk, rep):
     """The degreewise short exact sequence realizing the Wang setup on the
     finite presentation complex: the meridian direction plus the 2-cells as
@@ -446,8 +435,11 @@ def wang_exact_sequence(fk, rep):
     Returns (sub, total, quot, incl, proj), ready for multiplicativity_check.
     """
     total = twisted_cochain_complex(rep)
-    incl, proj = _meridian_block_embedding(fk)
     n = 2 * fk.genus
+    # degree-1 cochains: the 3n fiber coordinates, then the meridian block
+    eye = np.eye(3 * n + 3, dtype=complex)
+    incl = [eye[:3, :0], eye[:, 3 * n:], eye[:3 * n, :3 * n]]
+    proj = [eye[:3, :3], eye[:3 * n, :], eye[:0, :3 * n]]
     d1 = total.boundaries[1]
     sub = BasedChainComplex(
         [0, 3, 3 * n],
@@ -730,7 +722,7 @@ def lift_character_to_rep(fk, point, flavor=SL2C, tol=RANK_TOL):
         rows.append(np.kron(X.T, eye) - np.kron(eye, target))
     system = np.vstack(rows)
     _, svals, vh = np.linalg.svd(system)
-    small = int(np.sum(svals < 1e-7 * max(svals[0], 1.0)))
+    small = len(svals) - _rank(svals, 1e-7)
     if small == 0:
         raise NotFixedPointError(
             "no meridian intertwiner: the point is not fixed by the monodromy "

@@ -222,8 +222,8 @@ def homology(cx):
 
 
 def _resolve_homology_bases(cx, hdata):
-    """Homology bases to use for torsion: supplied ones, validated; the
-    computed ones only where the supplied entry is missing but trivial."""
+    """`hdata` in the homology bases torsion uses for `cx`: the supplied ones,
+    validated, or the computed ones where a missing entry is trivial."""
     bases = []
     for i in range(len(cx.dims)):
         want = hdata.dims[i]
@@ -253,7 +253,7 @@ def _resolve_homology_bases(cx, hdata):
             raise ChainComplexError(
                 "supplied vectors at degree %d do not span the homology" % i)
         bases.append(supplied)
-    return bases
+    return HomologyData(hdata.cycles, hdata.boundaries, bases, hdata.lifts)
 
 
 def torsion(cx, rng=None):
@@ -265,13 +265,12 @@ def torsion(cx, rng=None):
     independent of these choices.
     """
     c = cx.to_chain()
-    hdata = homology(c)
-    return _torsion(c, hdata, _resolve_homology_bases(c, hdata), rng)
+    return _torsion(c, _resolve_homology_bases(c, homology(c)), rng)
 
 
-def _torsion(c, hdata, hbases, rng=None):
-    """tor of the chain complex `c` from its decomposition `hdata` and the
-    homology bases `hbases`."""
+def _torsion(c, hdata, rng=None):
+    """tor of the chain complex `c` from its decomposition `hdata`, in the
+    homology bases `hdata.homology`."""
     n = c.top_degree
     bfam = list(hdata.lifts)
     if rng is not None:
@@ -290,7 +289,7 @@ def _torsion(c, hdata, hbases, rng=None):
         m = c.dims[i]
         if m == 0:
             continue
-        h = hbases[i]
+        h = hdata.homology[i]
         Bm = hdata.boundaries[i]
         if rng is not None and h.shape[1] and Bm.shape[1]:
             h = h + Bm @ (rng.standard_normal((Bm.shape[1], h.shape[1]))
@@ -333,12 +332,9 @@ def sign_determined_torsion(cx):
 
     Coincides with plain torsion on acyclic complexes.
     """
-    if len(cx.dims) == 0 or sum(cx.dims) == 0:
-        return 1.0 + 0j
     c = cx.to_chain()
-    hdata = homology(c)
-    return (-1) ** sign_parity(c.dims, hdata.dims) * _torsion(
-        c, hdata, _resolve_homology_bases(c, hdata))
+    hdata = _resolve_homology_bases(c, homology(c))
+    return (-1) ** sign_parity(c.dims, hdata.dims) * _torsion(c, hdata)
 
 
 # -- multiplicativity --------------------------------------------------------
@@ -367,14 +363,6 @@ def multiplicativity_signs(dims_sub, dims_quot,
         bpm1 = bp[i - 1] if i >= 1 else 0
         eps += (b[i] + 1) * (bp[i] + bpp[i]) + bpm1 * bpp[i]
     return int(alpha) % 2, int(eps) % 2
-
-
-def induced_map_on_homology(f_by_degree, degree, hsrc, htgt):
-    """Matrix of the map induced on degree-`degree` homology by a chain map
-    given degreewise by the matrices `f_by_degree`."""
-    f = f_by_degree[degree]
-    img = f @ hsrc.homology[degree]
-    return htgt.class_coordinates(degree, img)
 
 
 def connecting_map(degree, incl, proj, c_total, hsub, hquot):
@@ -410,26 +398,26 @@ def long_exact_sequence(hs, ht, hq, c_total, incl, proj):
         dims += [hq.dims[i], ht.dims[i], hs.dims[i]]
     diffs = []
     for i in range(n + 1):
-        # H_i(C) -> H_i(C'')
-        diffs.append(induced_map_on_homology(proj, i, ht, hq))
-        # H_i(C') -> H_i(C)
-        diffs.append(induced_map_on_homology(incl, i, hs, ht))
+        # the maps induced on homology: H_i(C) -> H_i(C''), H_i(C') -> H_i(C)
+        diffs.append(hq.class_coordinates(i, proj[i] @ ht.homology[i]))
+        diffs.append(ht.class_coordinates(i, incl[i] @ hs.homology[i]))
         if i < n:
             # H_{i+1}(C'') -> H_i(C')
             diffs.append(connecting_map(i + 1, incl, proj, c_total, hs, hq))
     return BasedChainComplex(dims, diffs, direction="chain", tol=c_total.tol)
 
 
-def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, return_parts=False):
+def multiplicativity_check(c_sub, c_total, c_quot, incl, proj):
     """Residual of the multiplicativity identity on a short exact sequence.
 
     Checks that incl/proj form a degreewise short exact sequence with
     compatible bases, builds the based long exact sequence H_*, and returns
+    (residual, parts): the residual
 
         | Tor(C) - (-1)^{alpha+eps} Tor(C') Tor(C'') tor(H_*) |,
 
-    which vanishes (within numerical error) on valid input.  With
-    `return_parts` the individual factors and sign exponents come back too.
+    which vanishes (within numerical error) on valid input, and a dict of the
+    individual factors and sign exponents.
     """
     if not (c_sub.direction == c_total.direction == c_quot.direction):
         raise ChainComplexError("complexes must share the direction convention")
@@ -462,31 +450,20 @@ def multiplicativity_check(c_sub, c_total, c_quot, incl, proj, return_parts=Fals
                 raise ChainComplexError(
                     "bases incompatible at degree %d ([c/c'c''] = %s)" % (i, det))
 
-    # one decomposition per complex, in the homology bases torsion uses
-    hs, ht, hq = (_with_resolved_bases(c, homology(c)) for c in (cs, ct, cq))
+    # one decomposition per complex, in the homology bases torsion uses; a
+    # complex with no supplied bases uses the computed ones
+    hs, ht, hq = (homology(c) for c in (cs, ct, cq))
+    hs, ht, hq = (h if c.homology_bases is None else _resolve_homology_bases(c, h)
+                  for c, h in zip((cs, ct, cq), (hs, ht, hq)))
     les = long_exact_sequence(hs, ht, hq, ct, incl, proj)
     hl = homology(les)
     if any(d != 0 for d in hl.dims):
         raise ChainComplexError("long exact sequence is not exact (sequence invalid)")
 
-    tor_les = _torsion(les, hl, hl.homology)
-    Tc, Ts, Tq = ((-1) ** sign_parity(c.dims, h.dims) * _torsion(c, h, h.homology)
+    tor_les = _torsion(les, hl)
+    Tc, Ts, Tq = ((-1) ** sign_parity(c.dims, h.dims) * _torsion(c, h)
                   for c, h in ((ct, ht), (cs, hs), (cq, hq)))
     alpha, eps = multiplicativity_signs(cs.dims, cq.dims, hs.dims, ht.dims, hq.dims)
     rhs = (-1) ** ((alpha + eps) % 2) * Ts * Tq * tor_les
-    residual = abs(Tc - rhs)
-    if return_parts:
-        return residual, {
-            "total": Tc, "sub": Ts, "quot": Tq, "les": tor_les,
-            "alpha": alpha, "epsilon": eps,
-        }
-    return residual
-
-
-def _with_resolved_bases(cx, hdata):
-    """`hdata` in the homology bases torsion uses for `cx`: the supplied
-    ones, validated, or else the computed ones."""
-    if cx.homology_bases is None:
-        return hdata
-    return HomologyData(hdata.cycles, hdata.boundaries,
-                        _resolve_homology_bases(cx, hdata), hdata.lifts)
+    return abs(Tc - rhs), {"total": Tc, "sub": Ts, "quot": Tq, "les": tor_les,
+                           "alpha": alpha, "epsilon": eps}

@@ -69,6 +69,19 @@ def test_compute_figure_eight_holonomy(capsys):
     assert abs(report["torsion_im"]) < 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    ["--knot", "figure_eight", "--holonomy", "plus", "--x", "0,0,0"],
+    ["--knot", "torus(2,5)", "--x", "1,1", "--rep-file", "missing.json"],
+], ids=["holonomy_and_x", "torus_x_and_missing_rep_file"])
+def test_compute_takes_one_representation_source(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute"] + args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_compute_reducible_character_fails_with_code(capsys):
     _, err = run(capsys, "compute", "--knot", "figure_eight", "--x", "2,2,2", expect=1)
     assert "REDUCIBLE_CHARACTER" in err

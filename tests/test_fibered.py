@@ -255,7 +255,7 @@ def test_wang_times_main_is_minus_epsilon0():
 def test_wang_exact_sequence_satisfies_multiplicativity():
     fk = trefoil()
     rep = lift_character_to_rep(fk, (0.8, 0.8, 0.8))
-    residual = multiplicativity_check(*wang_exact_sequence(fk, rep))
+    residual, _ = multiplicativity_check(*wang_exact_sequence(fk, rep))
     assert residual <= 1e-8
 
 

@@ -170,6 +170,12 @@ def test_sign_determined_empty_complex():
     assert sign_determined_torsion(cx) == pytest.approx(1.0)
 
 
+def test_all_zero_complex_has_torsion_exactly_one():
+    cx = BasedChainComplex([0, 0, 0], [np.zeros((0, 0))] * 2)
+    assert torsion(cx) == 1
+    assert sign_determined_torsion(cx) == 1
+
+
 def test_wang_shaped_complex_synthetic():
     # 0 -> F -> F^3 -> F^3 -> F -> 0 with middle map I - diag(1,2,3) and the
     # unit direction last: torsion is (1-2)(1-3) = 2
@@ -265,8 +271,7 @@ def test_multiplicativity_block_sums():
     seen_signs = set()
     for _ in range(50):
         cs, ct, cq, incl, proj = random_block_sum_ses(rng)
-        residual, parts = multiplicativity_check(cs, ct, cq, incl, proj,
-                                                 return_parts=True)
+        residual, parts = multiplicativity_check(cs, ct, cq, incl, proj)
         assert residual <= 1e-7 * max(1.0, abs(parts["total"]))
         seen_signs.add((parts["alpha"] + parts["epsilon"]) % 2)
     # the sign exponent must actually matter across the sample
@@ -305,7 +310,8 @@ def test_multiplicativity_trivial_sub():
                              homology_bases=[np.zeros((0, 0))] * (n + 1))
     incl = [np.zeros((c2.dims[i], 0)) for i in range(n + 1)]
     proj = [np.eye(c2.dims[i]) for i in range(n + 1)]
-    assert multiplicativity_check(zero, c2, c2, incl, proj) <= 1e-9
+    residual, _ = multiplicativity_check(zero, c2, c2, incl, proj)
+    assert residual <= 1e-9
 
 
 def test_multiplicativity_rejects_non_exact():
