@@ -46,6 +46,7 @@ from .rep import (
     coboundary_matrix,
     commutator_trace,
     fox_adjoint_blocks,
+    prefix_products,
     sl2_inverse,
     su2_pair,
     twisted_cochain_complex,
@@ -109,19 +110,20 @@ class FiberedKnot:
         if check_fibered and self.det_i_minus_m == 0:
             raise DegenerateMonodromyError(
                 "det(I - abelianized monodromy) = 0; not a fibered-knot monodromy")
+        # relators t^-1 x t phi(x)^-1, built once: all representations of
+        # the knot share the presentation
+        it = len(self.fiber_generators)
+        self._presentation = GroupPresentation(
+            self.fiber_generators + [meridian],
+            [Word(((it, -1), (j, 1), (it, 1)) + self.monodromy[g].inverse().letters)
+             for j, g in enumerate(self.fiber_generators)])
 
     # -- presentations ---------------------------------------------------------
 
     def presentation(self):
-        """The mapping-torus presentation of the knot group, meridian last."""
-        gens = self.fiber_generators + [self.meridian]
-        it = len(self.fiber_generators)
-        relators = []
-        for j, g in enumerate(self.fiber_generators):
-            w = self.monodromy[g]
-            r = Word(((it, -1), (j, 1), (it, 1)) + w.inverse().letters)
-            relators.append(r)
-        return GroupPresentation(gens, relators)
+        """The mapping-torus presentation of the knot group, meridian last:
+        one object per knot, shared by all its representations."""
+        return self._presentation
 
     def longitude_word(self):
         """The boundary of the fiber, prod_i [a_i, b_i], in fiber generators."""
@@ -712,15 +714,14 @@ def lift_character_to_rep(fk, point, flavor=SL2C, tol=RANK_TOL):
     else:
         A, B = _normal_form_pair(x1, x2, x3)
 
-    letters = ((A, sl2_inverse(A)), (B, sl2_inverse(B)))
+    # rho(phi(x)) is the last entry of the monodromy word's prefix stack; the
+    # stacks are left on the representation for monodromy_action's Fox blocks
+    words = [w.letters for w in fk.monodromy_words()]
+    inverses = (sl2_inverse(A), sl2_inverse(B))
+    stacks = {w: prefix_products((A, B), inverses, w) for w in words}
     eye = np.eye(2)
-    rows = []
-    for w, target in zip(fk.monodromy_words(), [A, B]):
-        X = np.eye(2, dtype=complex)
-        for g, e in w:
-            X = X @ letters[g][e == -1]
-        rows.append(np.kron(X.T, eye) - np.kron(eye, target))
-    system = np.vstack(rows)
+    system = np.vstack([np.kron(stacks[w][-1].T, eye) - np.kron(eye, target)
+                        for w, target in zip(words, [A, B])])
     _, svals, vh = np.linalg.svd(system)
     small = len(svals) - _rank(svals, 1e-7)
     if small == 0:
@@ -737,7 +738,11 @@ def lift_character_to_rep(fk, point, flavor=SL2C, tol=RANK_TOL):
     T = T / cmath.sqrt(det)
     images = {fk.fiber_generators[0]: A, fk.fiber_generators[1]: B,
               fk.meridian: T}
-    return Representation(fk.presentation(), images, flavor=flavor, tol=tol)
+    rep = Representation(fk.presentation(), images, flavor=flavor, tol=tol)
+    # the fiber generators are the presentation's first, so the letters of a
+    # monodromy word index the same images there
+    rep.prefix_stacks.update(stacks)
+    return rep
 
 
 def random_conjugate(rep, rng):

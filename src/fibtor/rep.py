@@ -75,13 +75,34 @@ def commutator_trace(x1, x2, x3):
     return -2 - x1 * x2 * x3 + x1 ** 2 + x2 ** 2 + x3 ** 2
 
 
+def prefix_products(images, inverses, letters):
+    """The (L + 1, 2, 2) stack of left-to-right partial products of the L
+    letters (generator index, +-1): entry k is the product of the images of
+    the first k letters, entry 0 the identity.  Each entry is the one before
+    times one generator image (or its inverse, from `inverses`): the same
+    products in the same order as `Representation.evaluate_word`, so the
+    last entry is that evaluation bit for bit.  `np.dot` writes each product
+    into the stack, with less call overhead than `@` and a new array; both
+    are one BLAS 2x2 product, and the tests compare the two by bytes.
+    """
+    out = np.empty((len(letters) + 1, 2, 2), dtype=complex)
+    out[0] = np.eye(2)
+    factors = (None, images, inverses)  # indexed by the exponent +-1
+    for k, (g, e) in enumerate(letters):
+        np.dot(out[k], factors[e][g], out=out[k + 1])
+    return out
+
+
 class Representation:
     """Assignment of unimodular 2x2 matrices to the generators of a
     presentation, acting on words and on the group ring through Ad.
 
     `images` may be a list (indexed like the presentation generators) or a
     dict keyed by generator name.  `tol` is the rank cutoff that every rank
-    decision made on this representation's data uses.
+    decision made on this representation's data uses.  `prefix_stacks` is
+    the memo of `prefix_stack`, keyed by a word's letters; it lives with the
+    representation, so each word is multiplied through once per
+    representation.
     """
 
     def __init__(self, presentation, images, flavor=SL2C, tol=RANK_TOL,
@@ -96,6 +117,7 @@ class Representation:
         self.tol = tol
         self._inverses = [sl2_inverse(m) for m in self.images]
         self._adjoints = {}
+        self.prefix_stacks = {}
         if check:
             for m in self.images:
                 if m.shape != (2, 2):
@@ -117,6 +139,15 @@ class Representation:
         for g, e in w:
             m = m @ (self.images[g] if e == 1 else self._inverses[g])
         return m
+
+    def prefix_stack(self, letters):
+        """`prefix_products` of the letters under this representation,
+        memoized; its last entry is rho of the word."""
+        stack = self.prefix_stacks.get(letters)
+        if stack is None:
+            stack = self.prefix_stacks[letters] = prefix_products(
+                self.images, self._inverses, letters)
+        return stack
 
     def adjoint_of_word(self, w):
         if not isinstance(w, Word):
@@ -140,7 +171,7 @@ class Representation:
         """Largest ||rho(r) - 1|| over the presentation's relators; inf or NaN,
         without a warning, when a product overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.max([np.linalg.norm(self.evaluate_word(r) - np.eye(2))
+            return np.max([np.linalg.norm(self.prefix_stack(r.letters)[-1] - np.eye(2))
                            for r in self.presentation.relators], initial=0.0)
 
     def check_relators(self):
@@ -172,11 +203,11 @@ def fox_adjoint_blocks(rep, word):
     """All Fox/adjoint blocks of a word: an (n, 3, 3) array whose i-th entry
     is Phi(d word / d g_i), for the n generators of the presentation.
 
-    One pass over the freely reduced word keeps the running prefix product:
-    a letter g contributes +Ad(prefix) before the prefix is multiplied by
-    rho(g), a letter g^-1 contributes -Ad(prefix) after it is multiplied by
-    rho(g)^-1.  The adjoints of all prefixes are formed in one batched step
-    and summed into each block in word order.  This repeats the arithmetic of
+    The prefixes come from the representation's prefix stack of the freely
+    reduced word: a letter g contributes +Ad of the prefix before it, a
+    letter g^-1 contributes -Ad of the prefix after it.  The adjoints of all
+    these prefixes are formed in one batched step and summed into each block
+    in word order.  This repeats the arithmetic of
     `rep.evaluate_group_ring(fox_derivative(word, i))` bit for bit: the
     prefixes of a reduced word are reduced and are built by the same
     left-to-right products as `evaluate_word`, and the group-ring terms are
@@ -186,17 +217,9 @@ def fox_adjoint_blocks(rep, word):
     n = rep.presentation.generator_count
     if not letters:
         return np.zeros((n, 3, 3), dtype=complex)
-    prefixes = np.empty((len(letters), 2, 2), dtype=complex)
-    p = np.eye(2, dtype=complex)
-    for k, (g, e) in enumerate(letters):
-        if e == 1:
-            prefixes[k] = p
-            p = p @ rep.images[g]
-        else:
-            p = p @ rep._inverses[g]
-            prefixes[k] = p
-    terms = adjoint(prefixes)
     gens, exps = np.array(letters).T
+    stack = rep.prefix_stack(letters)
+    terms = adjoint(stack[np.arange(len(letters)) + (exps == -1)])
     np.negative(terms, out=terms, where=(exps == -1)[:, None, None])
     # row i holds generator i's terms in word order and +0.0 elsewhere; its
     # running sum starts at +0.0, so the zeros change no bit and the result

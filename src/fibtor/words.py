@@ -56,7 +56,7 @@ class Word:
                 out.pop()
             else:
                 out.append((g, e))
-        return Word(out)
+        return self if len(out) == len(self.letters) else Word(out)
 
     def max_generator(self):
         return max((g for g, _ in self.letters), default=-1)
@@ -95,12 +95,11 @@ class GroupPresentation:
         self.generators = list(generators)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
-        self.relators = []
-        for r in relators:
-            w = r if isinstance(r, Word) else Word.from_string(r, self.generators)
-            if w.max_generator() >= len(self.generators):
-                raise ValueError("relator uses an undefined generator")
-            self.relators.append(w)
+        self.relators = tuple(
+            r if isinstance(r, Word) else Word.from_string(r, self.generators)
+            for r in relators)
+        if any(w.max_generator() >= len(self.generators) for w in self.relators):
+            raise ValueError("relator uses an undefined generator")
 
     @property
     def generator_count(self):

@@ -47,6 +47,8 @@ from fibtor.fibered import (
     sample_fixed_locus,
     trace_polynomial,
 )
+from fibtor import fibered as fibered_module
+from fibtor import rep as rep_module
 from fibtor.linalg import column_space
 from fibtor.verify import multiset_distance
 
@@ -457,6 +459,12 @@ def _monodromy_power(fk, k):
     return dict(zip(fk.fiber_generators, images))
 
 
+def _figure_eight_power(k):
+    fk = figure_eight()
+    return FiberedKnot("figure_eight^%d" % k, 1, fk.fiber_generators,
+                       _monodromy_power(fk, k), check_fibered=False)
+
+
 def test_monodromy_power_oracle():
     # phi^k acts on H^1(F) with eigenvalues 1, mu_i^k, so
     # T(phi^k) = -sign det(I - M^k) prod 1/(1 - mu_i^k); the mu_i come from
@@ -470,13 +478,81 @@ def test_monodromy_power_oracle():
         assert np.max(np.abs(mus)) <= 3.0
         for k in range(1, 9):
             assert np.min(np.abs(1.0 - mus ** k)) >= 0.1
-            powered = FiberedKnot("figure_eight^%d" % k, 1, fk.fiber_generators,
-                                  _monodromy_power(fk, k), check_fibered=False)
+            powered = _figure_eight_power(k)
             det = round(np.linalg.det(np.eye(2) - np.linalg.matrix_power(m, k)))
             expected = -np.sign(det) * np.prod(1.0 / (1.0 - mus ** k))
             rep = lift_character_to_rep(powered, point)
             value = main_theorem_torsion(powered, rep).torsion
             assert value == pytest.approx(expected, rel=1e-8)
+
+
+def _lifted_cases():
+    """(knot, lifted representation) on the trefoil, the figure-eight and
+    the figure-eight monodromy composed five times (233 letters)."""
+    return [(fk, lift_character_to_rep(fk, point))
+            for fk, point in ((trefoil(), (0.4, 0.4, 0.4)),
+                              (figure_eight(), fig8_locus_point(0.6 + 0.3j)),
+                              (_figure_eight_power(5), fig8_locus_point(-1.2)))]
+
+
+def test_relator_defect_is_the_reference_evaluation():
+    for fk, rep in _lifted_cases():
+        reference = max(np.linalg.norm(rep.evaluate_word(r) - np.eye(2))
+                        for r in fk.presentation().relators)
+        assert rep.relator_defect().tobytes() == np.float64(reference).tobytes()
+
+
+def test_prefix_memo_cannot_go_stale():
+    # the lift leaves the monodromy words' stacks on its representation; a
+    # representation built from the same images walks every word itself
+    gen = np.random.default_rng(5)
+    for fk, rep in _lifted_cases():
+        words = {w.letters for w in fk.monodromy_words()}
+        relators = {r.letters for r in fk.presentation().relators}
+        assert set(rep.prefix_stacks) == words | relators
+        fresh = Representation(fk.presentation(), rep.images)
+        assert set(fresh.prefix_stacks) == relators
+        report = main_theorem_torsion(fk, rep)
+        assert repr(main_theorem_torsion(fk, fresh)) == repr(report)
+        for mine, theirs in zip(twisted_cochain_complex(rep).boundaries,
+                                twisted_cochain_complex(fresh).boundaries):
+            assert mine.tobytes() == theirs.tobytes()
+        conj = random_conjugate(rep, gen)
+        assert conj.prefix_stacks == {}
+        assert main_theorem_torsion(fk, conj).torsion == pytest.approx(
+            report.torsion, abs=1e-9)
+
+
+def test_each_word_is_walked_once_per_representation(monkeypatch):
+    # lift + torsion on figure_eight^5 multiplies through the 233 letters of
+    # the monodromy words (the lift) and the 239 of the relators (the
+    # relator check) once each; the Fox blocks walk nothing again
+    walked = []
+    kernel = rep_module.prefix_products
+
+    def counting(images, inverses, letters):
+        walked.append(letters)
+        return kernel(images, inverses, letters)
+
+    monkeypatch.setattr(rep_module, "prefix_products", counting)
+    monkeypatch.setattr(fibered_module, "prefix_products", counting)
+    fk = _figure_eight_power(5)
+    assert sum(map(len, fk.monodromy_words())) == 233
+    main_theorem_torsion(fk, lift_character_to_rep(fk, fig8_locus_point(-1.2)))
+    assert sorted(map(len, walked)) == sorted(
+        [len(w) for w in fk.monodromy_words()]
+        + [len(r) for r in fk.presentation().relators])
+    assert sum(map(len, walked)) == 233 + 239
+    assert len(set(walked)) == len(walked)
+
+
+def test_one_presentation_per_knot():
+    fk = figure_eight()
+    pres = fk.presentation()
+    assert fk.presentation() is pres
+    assert isinstance(pres.relators, tuple)
+    reps = [lift_character_to_rep(fk, fig8_locus_point(u)) for u in (0.3, -1.2)]
+    assert all(rep.presentation is pres for rep in reps)
 
 
 # -- lifting -----------------------------------------------------------------------------

@@ -192,8 +192,21 @@ def _random_images(gen, n, flavor):
     return images
 
 
+def _pad_with_cancelling_pairs(gen, word, n, count):
+    """The word with `count` pairs g^e g^-e inserted at random places."""
+    letters = list(word)
+    for _ in range(count):
+        k = int(gen.integers(len(letters) + 1))
+        g, e = int(gen.integers(n)), int(gen.choice([1, -1]))
+        letters[k:k] = [(g, e), (g, -e)]
+    return Word(letters)
+
+
 def test_fox_adjoint_blocks_equal_group_ring_path():
-    gen = np.random.default_rng(31)
+    # the prefix stack is the one kernel behind the Fox blocks, the relator
+    # check and the lift; evaluate_word's @ loop is its reference, compared
+    # by bytes, so a BLAS whose np.dot into the stack differs from @ fails here
+    gen, pad = np.random.default_rng(31), np.random.default_rng(41)
     for n in (2, 4):
         pres = GroupPresentation(["a", "b", "c", "d"][:n], [])
         for flavor in (SL2C, SU2):
@@ -205,6 +218,16 @@ def test_fox_adjoint_blocks_equal_group_ring_path():
                 for i in range(n):
                     assert np.array_equal(
                         blocks[i], rep.evaluate_group_ring(fox_derivative(w, i)))
+                stack = rep.prefix_stack(w.letters)
+                assert stack.shape == (length + 1, 2, 2)
+                assert stack[-1].tobytes() == rep.evaluate_word(w).tobytes()
+                if length <= 17:
+                    for k in range(length + 1):
+                        assert stack[k].tobytes() == rep.evaluate_word(
+                            Word(w.letters[:k])).tobytes()
+                padded = _pad_with_cancelling_pairs(pad, w, n, 8)
+                assert (rep.prefix_stack(padded.letters)[-1].tobytes()
+                        == rep.evaluate_word(padded).tobytes())
 
 
 def test_fox_adjoint_blocks_empty_word_and_cancelling_pairs():
@@ -213,12 +236,7 @@ def test_fox_adjoint_blocks_empty_word_and_cancelling_pairs():
     rep = Representation(pres, _random_images(gen, 3, SL2C))
     assert np.array_equal(fox_adjoint_blocks(rep, Word()), np.zeros((3, 3, 3)))
     for _ in range(10):
-        letters = list(_random_reduced_word(gen, 3, 40))
-        for _ in range(8):
-            k = int(gen.integers(len(letters) + 1))
-            g, e = int(gen.integers(3)), int(gen.choice([1, -1]))
-            letters[k:k] = [(g, e), (g, -e)]
-        padded = Word(letters)
+        padded = _pad_with_cancelling_pairs(gen, _random_reduced_word(gen, 3, 40), 3, 8)
         blocks = fox_adjoint_blocks(rep, padded.reduce())
         # the group-ring normal form of d(padded)/dg is that of the reduced
         # word, so the sums agree exactly, not just to rounding
