@@ -21,7 +21,6 @@ the ordinary first cohomology of the fiber.
 import cmath
 import json
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +99,7 @@ class FiberedKnot:
                 raise InvalidInputError(
                     "monodromy image of %r uses a non-fiber generator" % g)
             self.monodromy[g] = w.reduce()
-        # set by the catalog; from_json sets a knot file's checked trace map
+        # set by the catalog; from_json derives a genus-one knot file's map
         self.trace_map = self.locus_chart = None
         # det(I - phi_*) on H^1(F), an integer; fibered knots have
         # Delta_K(1) = +-1, so it is nonzero.  check_fibered=False admits
@@ -157,27 +156,22 @@ class FiberedKnot:
             "monodromy": {g: self.monodromy[g].to_string(self.fiber_generators)
                           for g in self.fiber_generators},
         }
-        if self.trace_map is not None:
-            obj["trace_map"] = [str(p) for p in self.trace_map.polynomials]
         return json.dumps(obj, indent=2)
 
     @classmethod
     def from_json(cls, text):
         """Read a knot file, raising InvalidInputError on any malformed one.
-        An optional `trace_map` must equal the map derived from the monodromy."""
+        A genus-one knot carries the trace map derived from its monodromy;
+        unknown keys, `trace_map` among them, are ignored."""
         try:
             obj = json.loads(text)
             fk = cls(obj.get("name", "knot"), obj["genus"], obj["fiber_generators"],
                      obj["monodromy"], meridian=obj.get("meridian", "t"))
-            given = obj.get("trace_map") and TraceCoordMap(obj["trace_map"])
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise InvalidInputError("malformed knot file (%s: %s)"
                                     % (type(exc).__name__, exc)) from exc
-        if given:
+        if fk.genus == 1:
             fk.trace_map = TraceCoordMap.from_monodromy(fk)
-            if given.polynomials != fk.trace_map.polynomials:
-                raise InvalidInputError("trace_map disagrees with the monodromy's map %s"
-                                        % [str(p) for p in fk.trace_map.polynomials])
         return fk
 
     def __repr__(self):
@@ -494,34 +488,23 @@ def wang_product_check(fk, rep):
 
 
 _ONE, _X1, _X2, _X3 = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
-_FACTOR = r"([0-9]+)|x([123])(?:\s*\*\*\s*([0-9]+))?"
-_TERM = r"(?:%s)(?:\s*\*\s*(?:%s))*" % (_FACTOR, _FACTOR)
-_POLYNOMIAL = re.compile(r"[-+]?\s*%s(?:\s*[-+]\s*%s)*" % (_TERM, _TERM))
 
 
 class Polynomial(dict):
     """An integer polynomial in (x1, x2, x3), exponent triple -> coefficient,
-    printed as sympy does and evaluated bit for bit as that print would be."""
+    evaluated bit for bit as sympy.lambdify evaluates the same polynomial, so
+    trace-map Jacobian values equal sympy's."""
 
     def _ordered(self):
+        # the terms in the order sympy's expression sums them, which fixes
+        # the floating-point rounding: descending exponents, except that
+        # sympy has "1 - x1", not "-x1 + 1" (a positive constant goes first
+        # when the only other term is a negative multiple of one power)
         terms = sorted(self.items(), reverse=True)
-        # sympy prints "1 - x1", not "-x1 + 1": a positive constant goes
-        # first when the only other term is a negative multiple of one power
         if (len(terms) == 2 and terms[1][0] == _ONE and terms[1][1] > 0
                 and terms[0][1] < 0 and sum(map(bool, terms[0][0])) == 1):
             terms.reverse()
         return terms
-
-    def __str__(self):
-        out = ""
-        for k, (exps, c) in enumerate(self._ordered()):
-            factors = ["x%d" % (i + 1) + ("**%d" % e if e > 1 else "")
-                       for i, e in enumerate(exps) if e]
-            if abs(c) != 1 or not factors:
-                factors.insert(0, str(abs(c)))
-            out += ("-" if c < 0 else "") if k == 0 else (" - " if c < 0 else " + ")
-            out += "*".join(factors)
-        return out or "0"
 
     def __call__(self, point):
         value = 0
@@ -551,23 +534,6 @@ def _sum(*terms):
     return Polynomial((k, v) for k, v in out.items() if v)
 
 
-def parse_polynomial(text):
-    """Read an expanded integer polynomial in x1, x2, x3 made of integers and
-    `+ - * **` (exponents on variables only); the text is never evaluated."""
-    if not isinstance(text, str) or not _POLYNOMIAL.fullmatch(text.strip()):
-        raise InvalidInputError("not an integer polynomial in x1, x2, x3: %r" % (text,))
-    terms = []
-    for sign, body in re.findall(r"([-+]?)([^-+]+)", text.strip()):
-        coef, exps = -1 if sign == "-" else 1, [0, 0, 0]
-        for number, var, power in re.findall(_FACTOR, body):
-            if number:
-                coef *= int(number)
-            else:
-                exps[int(var) - 1] += int(power or 1)
-        terms.append((coef, tuple(exps), {_ONE: 1}))
-    return _sum(*terms)
-
-
 def trace_polynomial(word):
     """tr rho(word), for a word in two generators, as a polynomial in
     (x1, x2, x3) = (tr A, tr B, tr AB).  The word acts on the span of a
@@ -593,13 +559,10 @@ def trace_polynomial(word):
 
 class TraceCoordMap:
     """The monodromy action on genus-one trace coordinates (x1, x2, x3) =
-    (I_a, I_b, I_ab): three Polynomials, or strings for `parse_polynomial`."""
+    (I_a, I_b, I_ab): three Polynomials, or exponent-triple dicts."""
 
     def __init__(self, polynomials):
-        self.polynomials = tuple(p if isinstance(p, Polynomial) else parse_polynomial(p)
-                                 for p in polynomials)
-        if len(self.polynomials) != 3:
-            raise InvalidInputError("a trace map has three polynomials")
+        self.polynomials = tuple(map(Polynomial, polynomials))
         self._jac = [[p.diff(j) for j in range(3)] for p in self.polynomials]
 
     @classmethod

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import numpy as np
 
+from fibtor.catalog import get_entry
 from fibtor.cli import MAX_SWEEP_ROWS, _parse_grid, main
 from fibtor.errors import InvalidInputError
 from fibtor.fibered import torus_closed_form
@@ -244,57 +245,90 @@ def test_verify_negative_control(capsys):
     assert "FAIL" in out
 
 
-def _bad_knot_files(tmp_path):
+def _bad_knot_files():
     from fibtor import figure_eight
     good = json.loads(figure_eight().to_json())
-    probe = tmp_path / "probe"
-    runs_code = dict(good, trace_map=[
-        "__import__('pathlib').Path(%r).touch() or x3" % str(probe),
-        "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"])
-    disagrees = dict(good, trace_map=["x1", "x2", "x3"])
     unknown_generator = dict(good, monodromy={"a": "a c", "b": "b a b"})
     missing_key = {k: v for k, v in good.items() if k != "monodromy"}
-    # without a trace map, so that nothing but the names can refuse the file
-    bare = {k: v for k, v in good.items() if k != "trace_map"}
-    return probe, {
+    return {
         "genus_float": json.dumps(dict(good, genus=1.9)),
         "genus_string": json.dumps(dict(good, genus="1")),
         "genus_bool": json.dumps(dict(good, genus=True)),
         "generator_empty": json.dumps(dict(
-            bare, fiber_generators=["", "b"], monodromy={"": "b", "b": "b"})),
+            good, fiber_generators=["", "b"], monodromy={"": "b", "b": "b"})),
         "generator_spells_an_inverse": json.dumps(dict(
-            bare, fiber_generators=["a", "A"], monodromy={"a": "a A", "A": "A a A"})),
+            good, fiber_generators=["a", "A"], monodromy={"a": "a A", "A": "A a A"})),
         "generator_is_its_own_inverse": json.dumps(dict(
-            bare, fiber_generators=["a", "2b"], monodromy={"a": "a 2b", "2b": "2b a 2b"})),
+            good, fiber_generators=["a", "2b"], monodromy={"a": "a 2b", "2b": "2b a 2b"})),
         # a string is not split into one-letter names
-        "generators_a_string": json.dumps(dict(bare, fiber_generators="ab")),
+        "generators_a_string": json.dumps(dict(good, fiber_generators="ab")),
         # every monodromy key is a fiber generator, and each is parsed
         "monodromy_extra_key": json.dumps(dict(
-            bare, monodromy=dict(bare["monodromy"], c="zzz"))),
-        "runs_code": json.dumps(runs_code),
-        "disagrees": json.dumps(disagrees),
+            good, monodromy=dict(good["monodromy"], c="zzz"))),
         "unknown_generator": json.dumps(unknown_generator),
         "missing_key": json.dumps(missing_key),
         "truncated": figure_eight().to_json()[:-25],
     }
 
 
-@pytest.mark.parametrize("case", ["runs_code", "disagrees", "unknown_generator",
-                                  "missing_key", "truncated", "genus_float",
-                                  "genus_string", "genus_bool", "generator_empty",
+@pytest.mark.parametrize("case", ["unknown_generator", "missing_key", "truncated",
+                                  "genus_float", "genus_string", "genus_bool",
+                                  "generator_empty",
                                   "generator_spells_an_inverse",
                                   "generator_is_its_own_inverse",
                                   "generators_a_string", "monodromy_extra_key"])
 def test_malformed_knot_file_is_invalid_input(tmp_path, capsys, case):
-    probe, files = _bad_knot_files(tmp_path)
     path = tmp_path / ("%s.json" % case)
-    path.write_text(files[case])
+    path.write_text(_bad_knot_files()[case])
     code = main(["compute", "--knot-file", str(path), "--x", "0.5,-1,0.5"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error[INVALID_INPUT]: ")
     assert "Traceback" not in err
+
+
+# the figure-eight map as knot files used to spell it
+_OLD_TRACE_MAP = ["x3", "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"]
+
+
+@pytest.mark.parametrize("case", ["runs_code", "disagrees"])
+def test_knot_file_trace_map_is_ignored(tmp_path, capsys, case):
+    # a trace_map key is never read, so it neither runs nor refuses anything
+    from fibtor import figure_eight
+    bare = json.loads(figure_eight().to_json())
+    probe = tmp_path / "probe"
+    trace_map = {
+        "runs_code": ["__import__('pathlib').Path(%r).touch() or x3" % str(probe)]
+                     + _OLD_TRACE_MAP[1:],
+        "disagrees": ["x1", "x2", "x3"],
+    }[case]
+    outputs = []
+    for name, doc in (("bare", bare), (case, dict(bare, trace_map=trace_map))):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(doc))
+        outputs.append(run(capsys, "compute", "--knot-file", str(path),
+                           "--x", "0.5,-1,0.5")[0])
     assert not probe.exists()
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("trace_map", [None, _OLD_TRACE_MAP, ["x1", "x2", "x3"]],
+                         ids=["none", "old_spelling", "disagrees"])
+@pytest.mark.parametrize("knot,x", [("trefoil", "0.5,0.5,0.5"),
+                                    ("figure_eight", "0.5,-1,0.5")])
+def test_knot_file_computes_like_the_catalog_knot(tmp_path, capsys, knot, x, trace_map):
+    # the file's knot derives the catalog knot's trace map, so the JSON
+    # report, Jacobian eigenvalues included, is the same byte for byte
+    doc = json.loads(get_entry(knot).to_json())
+    if trace_map is not None:
+        doc["trace_map"] = trace_map
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(doc))
+    from_file, _ = run(capsys, "compute", "--knot-file", str(path), "--x", x,
+                       "--format", "json")
+    from_catalog, _ = run(capsys, "compute", "--knot", knot, "--x", x, "--format", "json")
+    assert "jacobian_eigenvalues" in json.loads(from_file)
+    assert from_file == from_catalog
 
 
 _ONE = b"[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"

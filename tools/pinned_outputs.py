@@ -2,13 +2,16 @@
 
     python tools/pinned_outputs.py DIR
 
-runs each command below as `python -m fibtor.cli ...` against the `src/`
-of the checkout this script sits in, and writes DIR/<case>.stdout,
-DIR/<case>.stderr and DIR/<case>.code.  The elapsed time that `verify`
-prints is masked, so two checkouts that behave alike give directories
-that `diff -r` finds equal.  Exits 1 if any command printed a traceback.
+first writes the knot and rep files the commands read to DIR/inputs/,
+then runs each command below as `python -m fibtor.cli ...` in DIR against
+the `src/` of the checkout this script sits in, and writes
+DIR/<case>.stdout, DIR/<case>.stderr and DIR/<case>.code.  The elapsed
+time that `verify` prints is masked, so two checkouts that behave alike
+give directories that `diff -r` finds equal.  Exits 1 if any command
+printed a traceback.
 """
 
+import json
 import os
 import pathlib
 import re
@@ -16,6 +19,26 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+FIG8_FILE = {"name": "figure_eight", "genus": 1, "fiber_generators": ["a", "b"],
+             "meridian": "t", "monodromy": {"a": "a b", "b": "b a b"}}
+# knot files, written as JSON; the rep file is computed by the checkout
+KNOT_FILES = {
+    "fig8.json": FIG8_FILE,
+    # the trace_map key as knot files used to carry it
+    "fig8_trace_map.json": dict(FIG8_FILE, trace_map=[
+        "x3", "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"]),
+    "fig8_unknown_generator.json": dict(FIG8_FILE, monodromy={"a": "a c", "b": "b a b"}),
+}
+HOLONOMY_REP_FILE = "fig8_holonomy_plus.json"
+HOLONOMY_REP = """
+import json
+from fibtor import figure_eight, holonomy_representation
+rep = holonomy_representation(figure_eight(), 1)
+print(json.dumps({"images": {g: [[[z.real, z.imag] for z in row]
+                                 for row in rep.image(g).tolist()]
+                             for g in ("a", "b", "t")}}))
+"""
 
 SWEEP_GRIDS = [
     ("trefoil", "x=-0.9:1.9:20"),
@@ -54,6 +77,19 @@ CASES = [
      ["compute", "--knot", "figure_eight", "--holonomy", "plus", "--x", "0,0,0"]),
     ("compute_torus_x_and_missing_rep_file",
      ["compute", "--knot", "torus(2,5)", "--x", "1,1", "--rep-file", "/nonexistent"]),
+    ("compute_knot_file_fig8",
+     ["compute", "--knot-file", "inputs/fig8.json", "--x", "3,1.5,3"]),
+    ("compute_knot_file_fig8_json",
+     ["compute", "--knot-file", "inputs/fig8.json", "--x", "3,1.5,3", "--format", "json"]),
+    ("compute_knot_file_fig8_trace_map",
+     ["compute", "--knot-file", "inputs/fig8_trace_map.json", "--x", "3,1.5,3"]),
+    ("compute_knot_file_fig8_trace_map_json",
+     ["compute", "--knot-file", "inputs/fig8_trace_map.json", "--x", "3,1.5,3",
+      "--format", "json"]),
+    ("compute_knot_file_unknown_generator",
+     ["compute", "--knot-file", "inputs/fig8_unknown_generator.json", "--x", "3,1.5,3"]),
+    ("compute_fig8_rep_file",
+     ["compute", "--knot", "figure_eight", "--rep-file", "inputs/" + HOLONOMY_REP_FILE]),
 ]
 for knot, grid in SWEEP_GRIDS:
     for fmt in ("csv", "json"):
@@ -75,10 +111,18 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    inputs = out / "inputs"
+    inputs.mkdir(exist_ok=True)
+    for name, doc in KNOT_FILES.items():
+        (inputs / name).write_text(json.dumps(doc, indent=2) + "\n")
+    rep = subprocess.run([sys.executable, "-c", HOLONOMY_REP], capture_output=True,
+                         text=True, env=env, check=True)
+    (inputs / HOLONOMY_REP_FILE).write_text(rep.stdout)
     crashed = []
     for name, args in CASES:
+        # input paths are relative to DIR, so no output names the directory
         proc = subprocess.run([sys.executable, "-m", "fibtor.cli"] + args,
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env, cwd=out)
         stdout = proc.stdout
         if args[0] == "verify":
             stdout = ELAPSED.sub("in <elapsed> s", stdout)
