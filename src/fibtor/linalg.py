@@ -31,7 +31,7 @@ def _rank(s, tol):
     """The package's one rank rule: the number of singular values `s`
     (descending) above tol times the largest, or times 1 if that is
     smaller."""
-    return int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
+    return int(np.count_nonzero(s > tol * max(s[0], 1.0))) if s.size else 0
 
 
 def numerical_rank(m, tol=RANK_TOL):

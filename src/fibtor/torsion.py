@@ -11,9 +11,11 @@ Z_i.  The value does not depend on the choices of b^i and h~^i (Milnor).
 `homology` is the one place where a complex is decomposed: one numpy SVD per
 differential d_i decides its rank under the `linalg` rank rule and gives the
 cycles Z_i (trailing right singular vectors), the boundaries B_{i-1} (leading
-left singular vectors) and b^i (leading right singular vectors).  Every
-entry point -- `torsion`, `sign_determined_torsion`, `multiplicativity_check`
--- decomposes each complex it is given once and reads everything from that.
+left singular vectors) and b^i (leading right singular vectors).  A complex
+is decomposed once, on first use, and keeps that decomposition, its supplied
+homology bases validated: `torsion`, `sign_determined_torsion` and
+`multiplicativity_check` all read it, and a cochain complex builds its chain
+form once.
 The sign-determined refinement multiplies by (-1)^{|C_*|} with
 
     |C_*| = sum_k alpha_k beta_k,
@@ -112,6 +114,8 @@ class BasedChainComplex:
                 if h is not None and h.shape[0] != self.dims[i]:
                     raise ChainComplexError("homology basis %d has wrong ambient dim" % i)
         self._check_dd()
+        # the chain form and the decomposition, each made on first use
+        self._chain = self._hdata = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -141,20 +145,15 @@ class BasedChainComplex:
         return self.boundaries[i]
 
     def to_chain(self):
-        """The same complex in the homological convention (degree-reversed)."""
+        """The same complex in the homological convention (degree-reversed),
+        built on first use."""
         if self.direction == "chain":
             return self
-        n = self.top_degree
-        hb = None
-        if self.homology_bases is not None:
-            hb = list(reversed(self.homology_bases))
-        return BasedChainComplex(
-            list(reversed(self.dims)),
-            [self.boundaries[n - 1 - i] for i in range(n)],
-            direction="chain",
-            homology_bases=hb,
-            tol=self.tol,
-        )
+        if self._chain is None:
+            hb = None if self.homology_bases is None else self.homology_bases[::-1]
+            self._chain = BasedChainComplex(self.dims[::-1], self.boundaries[::-1],
+                                            homology_bases=hb, tol=self.tol)
+        return self._chain
 
 
 class HomologyData:
@@ -242,18 +241,31 @@ def _resolve_homology_bases(cx, hdata):
             raise ChainComplexError(
                 "homology basis at degree %d has %d vectors, expected %d"
                 % (i, supplied.shape[1], want))
-        # representatives must be cycles ...
+        # representatives must be cycles, inside the computed cycle space ...
         dout = cx.differential_out(i)
-        if dout.size and np.linalg.norm(dout @ supplied) > 1e-6 * max(
-                1.0, np.linalg.norm(supplied)):
+        scale = max(1.0, np.linalg.norm(supplied))
+        if dout.size and np.linalg.norm(dout @ supplied) > 1e-6 * scale:
             raise ChainComplexError("supplied basis at degree %d is not made of cycles" % i)
-        # ... and project to an independent family in homology
-        coords = hdata.class_coordinates(i, supplied)
+        Z = hdata.cycles[i]
+        if np.linalg.norm(supplied - Z @ (Z.conj().T @ supplied)) > 1e-6 * scale:
+            raise ChainComplexError("supplied basis at degree %d lies off the cycle space" % i)
+        # ... and project to an independent family in homology: the computed
+        # homology basis is orthonormal and orthogonal to the boundaries
+        coords = hdata.homology[i].conj().T @ supplied
         if numerical_rank(coords, cx.tol) < want:
             raise ChainComplexError(
                 "supplied vectors at degree %d do not span the homology" % i)
         bases.append(supplied)
     return HomologyData(hdata.cycles, hdata.boundaries, bases, hdata.lifts)
+
+
+def _decomposition(cx):
+    """The chain form of `cx` and its `HomologyData` in the homology bases
+    torsion uses, worked out on first use and kept on the chain form."""
+    c = cx.to_chain()
+    if c._hdata is None:
+        c._hdata = _resolve_homology_bases(c, homology(c))
+    return c, c._hdata
 
 
 def torsion(cx, rng=None):
@@ -264,8 +276,7 @@ def torsion(cx, rng=None):
     re-randomizes them, which must not change the value -- torsion is
     independent of these choices.
     """
-    c = cx.to_chain()
-    return _torsion(c, _resolve_homology_bases(c, homology(c)), rng)
+    return _torsion(*_decomposition(cx), rng)
 
 
 def _torsion(c, hdata, rng=None):
@@ -315,7 +326,7 @@ def random_invertible(rng, n):
     if n == 0:
         return np.eye(0, dtype=complex)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q @ np.diag(np.exp(0.3 * rng.standard_normal(n)))
+    return q * np.exp(0.3 * rng.standard_normal(n))
 
 
 def sign_parity(dims, homology_dims):
@@ -332,8 +343,7 @@ def sign_determined_torsion(cx):
 
     Coincides with plain torsion on acyclic complexes.
     """
-    c = cx.to_chain()
-    hdata = _resolve_homology_bases(c, homology(c))
+    c, hdata = _decomposition(cx)
     return (-1) ** sign_parity(c.dims, hdata.dims) * _torsion(c, hdata)
 
 
@@ -450,11 +460,10 @@ def multiplicativity_check(c_sub, c_total, c_quot, incl, proj):
                 raise ChainComplexError(
                     "bases incompatible at degree %d ([c/c'c''] = %s)" % (i, det))
 
-    # one decomposition per complex, in the homology bases torsion uses; a
+    # each complex's decomposition, in the homology bases torsion uses; a
     # complex with no supplied bases uses the computed ones
-    hs, ht, hq = (homology(c) for c in (cs, ct, cq))
-    hs, ht, hq = (h if c.homology_bases is None else _resolve_homology_bases(c, h)
-                  for c, h in zip((cs, ct, cq), (hs, ht, hq)))
+    hs, ht, hq = (homology(c) if c.homology_bases is None else _decomposition(c)[1]
+                  for c in (cs, ct, cq))
     les = long_exact_sequence(hs, ht, hq, ct, incl, proj)
     hl = homology(les)
     if any(d != 0 for d in hl.dims):

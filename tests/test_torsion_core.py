@@ -1,6 +1,7 @@
 """Generic torsion engine: determinants, homology, torsion, signs,
 multiplicativity."""
 
+import copy
 import sys
 
 import numpy as np
@@ -10,6 +11,8 @@ from fibtor import (
     BasedChainComplex,
     ChainComplexError,
     change_of_basis_det,
+    figure_eight,
+    holonomy_representation,
     homology,
     multiplicativity_check,
     multiplicativity_signs,
@@ -17,6 +20,7 @@ from fibtor import (
     torsion,
 )
 from fibtor.linalg import column_space, nullspace, numerical_rank
+from fibtor.rep import twisted_cochain_complex
 from fibtor.torsion import random_invertible, sign_parity
 from fibtor.verify import random_based_complex, random_block_sum_ses
 
@@ -151,6 +155,28 @@ def test_torsion_rejects_non_cycle_basis():
         torsion(BasedChainComplex([1, 2], [d], homology_bases=[None, bad]))
 
 
+def test_torsion_rejects_basis_off_the_cycle_space():
+    # the cycle test d @ h ~ 0 passes (|d @ h| = 1e-10), but d has rank one
+    # under the cutoff, so the third coordinate 1e-3 lies off the cycles
+    cx = BasedChainComplex([1, 3, 0], [[[0, 0, 1e-7]], np.zeros((3, 0))],
+                           homology_bases=[None, [[1, 0], [0, 1], [1e-3, 0]], None])
+    with pytest.raises(ChainComplexError, match="degree 1 lies off the cycle space"):
+        torsion(cx)
+
+
+def test_torsion_rejects_cycles_dependent_in_homology():
+    # C_2 -> C_1 maps onto e1, so e1 is a boundary: alone it is the zero
+    # class, and beside e2 the cycle e2 + e1 repeats the class of e2
+    for m, bad in ((2, [[1.0], [0.0]]),
+                   (3, [[0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])):
+        d2 = np.eye(m, 1)
+        cx = BasedChainComplex([0, m, 1], [np.zeros((0, m)), d2],
+                               homology_bases=[None, np.array(bad), None])
+        assert homology(cx).dims == [0, m - 1, 0]
+        with pytest.raises(ChainComplexError, match="degree 1 do not span the homology"):
+            torsion(cx)
+
+
 def test_sign_determined_on_acyclic_equals_plain():
     rng = np.random.default_rng(11)
     # acyclic: invertible square boundary
@@ -282,6 +308,7 @@ def test_each_entry_point_decomposes_each_complex_once(monkeypatch):
     rng = np.random.default_rng(59)
     cx = random_based_complex(rng)
     assert sum(cx.dims)
+    twin = _fresh_copy(cx)
     ses = random_block_sum_ses(rng)
     module = sys.modules["fibtor.torsion"]  # fibtor.torsion is also a function
     calls = []
@@ -292,13 +319,97 @@ def test_each_entry_point_decomposes_each_complex_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, "homology", counting)
-    # sub, total, quotient and the long exact sequence: 4 complexes
+    # a complex is decomposed on first use and keeps the result: sub, total,
+    # quotient and the long exact sequence make 4 complexes, and a second
+    # check on the same sequence decomposes only its new long exact sequence
     for run, expected in ((lambda: torsion(cx), 1),
-                          (lambda: sign_determined_torsion(cx), 1),
-                          (lambda: multiplicativity_check(*ses), 4)):
+                          (lambda: torsion(cx, rng=rng), 0),
+                          (lambda: sign_determined_torsion(cx), 0),
+                          (lambda: sign_determined_torsion(twin), 1),
+                          (lambda: multiplicativity_check(*ses), 4),
+                          (lambda: multiplicativity_check(*ses), 1)):
         calls.clear()
         run()
         assert len(calls) == expected
+
+
+def _fresh_copy(cx):
+    return BasedChainComplex(
+        list(cx.dims), [d.copy() for d in cx.boundaries], direction=cx.direction,
+        homology_bases=[None if h is None else h.copy() for h in cx.homology_bases],
+        tol=cx.tol)
+
+
+def test_second_torsion_runs_no_svd(monkeypatch):
+    rng = np.random.default_rng(61)
+    cx = random_based_complex(rng)
+    while not any(d.size for d in cx.boundaries):
+        cx = random_based_complex(rng)
+    module = sys.modules["fibtor.torsion"]
+    svds = []
+    original = module.np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        svds.append(a)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module.np.linalg, "svd", counting)
+    torsion(cx)
+    assert any(any(a is d for d in cx.boundaries) for a in svds)
+    svds.clear()
+    torsion(cx, rng=rng)
+    assert svds == []
+
+
+def test_kept_decomposition_matches_a_fresh_complex():
+    # torsion of a complex that keeps its decomposition equals, bit for bit,
+    # the torsion of a fresh complex built from copies of the same arrays
+    rng = np.random.default_rng(67)
+    for _ in range(50):
+        cx = random_based_complex(rng)
+        first = torsion(cx)
+        torsion(cx, rng=rng)
+        fresh = _fresh_copy(cx)
+        assert torsion(cx) == first == torsion(fresh)
+        assert sign_determined_torsion(cx) == sign_determined_torsion(_fresh_copy(cx))
+    # a cochain complex: the twisted complex of the figure-eight exterior,
+    # based in its computed homology
+    tc = twisted_cochain_complex(holonomy_representation(figure_eight(), 1))
+    cx = BasedChainComplex(tc.dims, tc.boundaries, direction="cochain",
+                           homology_bases=homology(tc).homology, tol=tc.tol)
+    assert cx.to_chain() is cx.to_chain()
+    first = torsion(cx)
+    assert torsion(cx, rng=rng) == pytest.approx(first)
+    assert torsion(cx) == first == torsion(_fresh_copy(cx))
+    assert sign_determined_torsion(cx) == sign_determined_torsion(_fresh_copy(cx))
+
+
+# -- the verify generators keep their draws -----------------------------------------
+
+def test_random_invertible_matches_its_reference():
+    # the diagonal scaling as a broadcast product, bit for bit the matrix product
+    for n in range(7):
+        rng = np.random.default_rng(71 + n)
+        for _ in range(20):
+            ref_rng = copy.deepcopy(rng)
+            got = random_invertible(rng, n)
+            if n:
+                q, _ = np.linalg.qr(ref_rng.standard_normal((n, n))
+                                    + 1j * ref_rng.standard_normal((n, n)))
+                ref = q @ np.diag(np.exp(0.3 * ref_rng.standard_normal(n)))
+            else:
+                ref = np.eye(0, dtype=complex)
+            assert got.tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            # the basis-change check's plain determinant is change_of_basis_det's
+            expected = change_of_basis_det(got.T, np.eye(n)) if n else 1.0 + 0j
+            assert complex(np.linalg.det(got.T)) == expected
+
+
+def test_random_based_complex_supplies_one_vector_per_homology_dimension():
+    for seed in range(300):
+        cx = random_based_complex(np.random.default_rng(seed))
+        assert [h.shape[1] for h in cx.homology_bases] == homology(cx).dims
 
 
 def test_multiplicativity_trivial_sub():

@@ -95,7 +95,8 @@ for knot, grid in SWEEP_GRIDS:
     for fmt in ("csv", "json"):
         name = re.sub(r"[^\w.-]+", "_", "sweep_%s_%s_%s" % (knot, grid, fmt))
         CASES.append((name, ["sweep", "--knot", knot, "--grid", grid, "--format", fmt]))
-for seed in (0, 1, 2):
+# 523000: a seed of the size the verify benchmark draws (a multiple of 1000)
+for seed in (0, 1, 2, 3, 523000):
     CASES.append(("verify_seed%d" % seed, ["verify", "--seed", str(seed)]))
 
 # the one wall time verify prints (trefoil_third's "... in 0.02 s")
