@@ -27,7 +27,6 @@ from .errors import (
 from .torsion import (
     BasedChainComplex,
     ChainComplexError,
-    change_of_basis_det,
     homology,
     multiplicativity_check,
     multiplicativity_signs,

@@ -249,10 +249,10 @@ def monodromy_action(fk, rep):
             "the representation is reducible or metabelian" % (3 - bspace.shape[1]))
     T = rep.image(fk.meridian)
     adT = adjoint(T)
-    full = np.zeros((3 * n, 3 * n), dtype=complex)
-    for j, w in enumerate(fk.monodromy_words()):
-        for i, blk in enumerate(fox_adjoint_blocks(rep, w)[:n]):
-            full[3 * j:3 * j + 3, 3 * i:3 * i + 3] = adT @ blk
+    # block (j, i) is Ad(T) Phi(d phi(x_j) / d x_i)
+    blocks = adT @ np.array([fox_adjoint_blocks(rep, w)[:n]
+                             for w in fk.monodromy_words()])
+    full = blocks.swapaxes(1, 2).reshape(3 * n, 3 * n)
     image = full @ bspace
     resid = np.linalg.norm(image - bspace @ (bspace.conj().T @ image))
     if resid > 1e-6 * max(1.0, np.linalg.norm(full)):
@@ -260,7 +260,7 @@ def monodromy_action(fk, rep):
             "monodromy action does not preserve the coboundary space "
             "(residual %.3e); the representation violates the mapping-torus "
             "relators" % resid)
-    comp = orthogonal_complement(bspace, 3 * n, rep.tol)
+    comp = orthogonal_complement(bspace, rep.tol)
     quotient = comp.conj().T @ full @ comp
     return MonodromyAction(full, d0, comp, quotient)
 

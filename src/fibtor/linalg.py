@@ -62,12 +62,10 @@ def column_space(m, tol=RANK_TOL):
     return u[:, :_rank(s, tol)]
 
 
-def orthogonal_complement(basis, dim, tol=RANK_TOL):
-    """Orthonormal basis of the orthogonal complement of span(basis) in C^dim."""
-    basis = _as_matrix(basis) if np.size(basis) else np.zeros((dim, 0), dtype=complex)
-    if basis.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
-    u, s, _ = np.linalg.svd(basis, full_matrices=True)
+def orthogonal_complement(basis, tol=RANK_TOL):
+    """Orthonormal basis of the orthogonal complement of span(basis), for a
+    basis of at least one column."""
+    u, s, _ = np.linalg.svd(_as_matrix(basis), full_matrices=True)
     return u[:, _rank(s, tol):]
 
 

@@ -150,8 +150,6 @@ class Representation:
         return stack
 
     def adjoint_of_word(self, w):
-        if not isinstance(w, Word):
-            w = self.presentation.word(w)
         w = w.reduce()
         key = w.letters
         if key not in self._adjoints:
@@ -248,10 +246,9 @@ def twisted_cochain_complex(rep):
     ng = presentation.generator_count
     nr = len(presentation.relators)
     d0 = coboundary_matrix(rep.images)
-    d1 = np.zeros((3 * nr, 3 * ng), dtype=complex)
-    for k, r in enumerate(presentation.relators):
-        for i, block in enumerate(fox_adjoint_blocks(rep, r)):
-            d1[3 * k:3 * k + 3, 3 * i:3 * i + 3] = block
+    # block (k, i) is Phi(d r_k / d g_i)
+    blocks = np.array([fox_adjoint_blocks(rep, r) for r in presentation.relators])
+    d1 = blocks.reshape(nr, ng, 3, 3).swapaxes(1, 2).reshape(3 * nr, 3 * ng)
     return BasedChainComplex([3, 3 * ng, 3 * nr], [d0, d1],
                              direction="cochain", tol=rep.tol)
 

@@ -42,29 +42,6 @@ class ChainComplexError(ValueError):
     """Malformed complex: shape mismatch, d.d != 0, bad homology basis."""
 
 
-def change_of_basis_det(a, b):
-    """Determinant [a/b] of the matrix expressing basis `a` in basis `b`.
-
-    `a` and `b` are sequences of coordinate vectors of equal length and
-    ambient dimension; b must be independent.  With a_i = sum_j p_ij b_j
-    this returns det(p_ij).
-    """
-    A = np.asarray(list(a), dtype=complex)
-    B = np.asarray(list(b), dtype=complex)
-    if A.shape != B.shape or A.ndim != 2:
-        raise ValueError("bases must have equal cardinality and ambient dimension")
-    n, m = B.shape
-    if n != m:
-        raise ValueError("bases must be square (n vectors of dimension n)")
-    if n == 0:
-        return 1.0 + 0j
-    if numerical_rank(B) < n:
-        raise np.linalg.LinAlgError("basis b is singular")
-    # rows of A are the a_i; solve P @ B = A
-    P = np.linalg.solve(B.T, A.T).T
-    return complex(np.linalg.det(P))
-
-
 class BasedChainComplex:
     """Finite chain or cochain complex over C with optional homology bases.
 
@@ -376,13 +353,11 @@ def multiplicativity_signs(dims_sub, dims_quot,
 
 
 def connecting_map(degree, incl, proj, c_total, hsub, hquot):
-    """Connecting homomorphism H_degree(C'') -> H_{degree-1}(C') of a
-    degreewise short exact sequence, computed by the usual zig-zag.
+    """Connecting homomorphism H_degree(C'') -> H_{degree-1}(C'), degree >= 1,
+    of a degreewise short exact sequence, computed by the usual zig-zag.
 
     incl, proj are per-degree matrices C'_i -> C_i and C_i -> C''_i.
     """
-    if degree == 0:
-        raise ValueError("no connecting map out of degree 0")
     out = []
     d = c_total.boundaries[degree - 1]
     for k in range(hquot.homology[degree].shape[1]):

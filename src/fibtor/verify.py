@@ -24,7 +24,6 @@ from .fibered import (
     wang_product_check,
     wang_sequence_torsion,
 )
-from .linalg import RANK_TOL, _rank
 from .rep import SL2C, SU2, Representation, commutator_trace, twisted_cochain_complex
 from .torsion import (
     BasedChainComplex,
@@ -49,7 +48,6 @@ def random_based_complex(rng, max_degree=4):
     dims = [hdims[i]
             + (pairs[i] if i < n else 0)
             + (pairs[i - 1] if i > 0 else 0) for i in range(n + 1)]
-    dims = [min(d, 6) for d in dims]
     # canonical block differentials
     ds = []
     for i in range(1, n + 1):
@@ -57,21 +55,14 @@ def random_based_complex(rng, max_degree=4):
         row0 = hdims[i - 1] + (pairs[i - 2] if i - 1 > 0 else 0)
         col0 = hdims[i]
         for k in range(pairs[i - 1]):
-            if row0 + k < dims[i - 1] and col0 + k < dims[i]:
-                d[row0 + k, col0 + k] = 1.0 + 0.3 * rng.standard_normal()
+            d[row0 + k, col0 + k] = 1.0 + 0.3 * rng.standard_normal()
         ds.append(d)
     hb = []
     for i in range(n + 1):
-        z = np.zeros((dims[i], min(hdims[i], dims[i])), dtype=complex)
-        for k in range(z.shape[1]):
+        z = np.zeros((dims[i], hdims[i]), dtype=complex)
+        for k in range(hdims[i]):
             z[k, k] = 1.0
         hb.append(z)
-    # effective homology dims after clipping: each differential has one
-    # entry per placed pair, so its singular values are their moduli
-    ranks = [_rank(np.sort(np.abs(d[d != 0]))[::-1], RANK_TOL) for d in ds]
-    eff = [dims[i] - (ranks[i - 1] if i else 0) - (ranks[i] if i < n else 0)
-           for i in range(n + 1)]
-    hb = [hb[i][:, :eff[i]] for i in range(n + 1)]
     # random changes of basis
     mats = [random_invertible(rng, m) for m in dims]
     nds = [np.linalg.inv(mats[i - 1]) @ ds[i - 1] @ mats[i] for i in range(1, n + 1)]

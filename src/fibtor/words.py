@@ -134,12 +134,6 @@ class GroupRingElement:
     def __add__(self, other):
         return GroupRingElement(self.terms + other.terms)
 
-    def __neg__(self):
-        return GroupRingElement(tuple((-c, w) for c, w in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def left_multiply(self, word):
         return GroupRingElement(tuple((c, word * w) for c, w in self.terms))
 

@@ -19,6 +19,7 @@ from fibtor import (
     NotFixedPointError,
     NoUnitEigenvalueError,
     ReducibleCharacterError,
+    RelatorViolationError,
     Representation,
     SU2,
     TraceCoordMap,
@@ -630,31 +631,74 @@ def test_torus_closed_form_bounds():
 
 # -- higher genus -----------------------------------------------------------------------------
 
-def test_genus_two_connected_sum_detects_regularity_failure():
-    # trefoil # trefoil: block monodromy, genus 2.  With the same trefoil
-    # representation on both handles the unit eigenvalue has multiplicity
-    # three (the composite is not boundary-regular there), which the
-    # pipeline must report rather than produce a value.
-    from fibtor.fibered import monodromy_action
-    from fibtor.rep import Representation
-
+def _granny_rep():
+    """trefoil # trefoil, a genus-two knot with block monodromy, and the same
+    SU(2) trefoil representation on both handles."""
     fk = FiberedKnot("granny", 2, ["a1", "b1", "a2", "b2"],
                      {"a1": "a1 B1 A1", "b1": "a1 b1",
                       "a2": "a2 B2 A2", "b2": "a2 b2"})
-    assert abelianized_monodromy(fk).tolist() == [
-        [0, 1, 0, 0], [-1, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 1]]
-    assert epsilon0(fk) == 1
     r1 = lift_character_to_rep(trefoil(), (1.2, 1.2, 1.2), flavor=SU2)
     A, B, T = r1.image("a"), r1.image("b"), r1.image("t")
     rep = Representation(fk.presentation(),
                          {"a1": A, "b1": B, "a2": A, "b2": B, "t": T},
                          flavor=SU2)
+    return fk, rep
+
+
+def test_genus_two_connected_sum_detects_regularity_failure():
+    # With the same trefoil representation on both handles the unit
+    # eigenvalue has multiplicity three (the composite is not
+    # boundary-regular there), which the pipeline must report rather than
+    # produce a value.
+    fk, rep = _granny_rep()
+    assert abelianized_monodromy(fk).tolist() == [
+        [0, 1, 0, 0], [-1, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 1]]
+    assert epsilon0(fk) == 1
     act = monodromy_action(fk, rep)
     assert act.quotient.shape == (9, 9)
     evs = np.linalg.eigvals(act.quotient)
     assert np.sum(np.abs(evs - 1.0) < 1e-6) == 3
     with pytest.raises(NonSimpleUnitEigenvalueError):
         main_theorem_torsion(fk, rep)
+
+
+def test_block_matrices_place_each_fox_block():
+    # block (j, i) of the monodromy action is Ad(T) Phi(d phi(x_j) / d x_i),
+    # block (k, i) of d1 is Phi(d r_k / d g_i), bit for bit
+    granny = _granny_rep()
+    cases = [(figure_eight(), lift_character_to_rep(figure_eight(), fig8_locus_point(0.5))),
+             granny]
+    for fk, rep in cases:
+        n = len(fk.fiber_generators)
+        full = monodromy_action(fk, rep).full
+        adT = rep_module.adjoint(rep.image(fk.meridian))
+        for j, w in enumerate(fk.monodromy_words()):
+            for i, blk in enumerate(rep_module.fox_adjoint_blocks(rep, w)[:n]):
+                assert full[3 * j:3 * j + 3, 3 * i:3 * i + 3].tobytes() == (adT @ blk).tobytes()
+        d1 = twisted_cochain_complex(rep).boundaries[1]
+        ng = rep.presentation.generator_count
+        assert d1.shape == (3 * len(rep.presentation.relators), 3 * ng)
+        for k, r in enumerate(rep.presentation.relators):
+            for i, blk in enumerate(rep_module.fox_adjoint_blocks(rep, r)):
+                assert d1[3 * k:3 * k + 3, 3 * i:3 * i + 3].tobytes() == blk.tobytes()
+    # a presentation without relators gives an empty d1 with one column per
+    # generator coordinate
+    rep = granny[1]
+    free = Representation(GroupPresentation(["a", "b"], []), [rep.image("a1"), rep.image("b1")])
+    assert twisted_cochain_complex(free).boundaries[1].shape == (0, 6)
+
+
+@pytest.mark.parametrize("fk, point", [(trefoil(), (1.2, 1.2, 1.2)),
+                                       (figure_eight(), fig8_locus_point(0.5))])
+def test_monodromy_action_refuses_a_meridian_that_breaks_the_relators(fk, point):
+    # lifted fiber images with meridian image I: t^-1 x t = phi(x) fails, and
+    # the monodromy action moves B^1 by a residual of order 1
+    lifted = lift_character_to_rep(fk, point)
+    images = [lifted.image(g) for g in fk.fiber_generators] + [np.eye(2)]
+    rep = Representation(fk.presentation(), images, check=False)
+    with pytest.raises(RelatorViolationError,
+                       match=r"does not preserve the coboundary space \(residual 1\.\d+e\+00\)"):
+        monodromy_action(fk, rep)
 
 
 # -- knot serialization ----------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Generic torsion engine: determinants, homology, torsion, signs,
-multiplicativity."""
+"""Generic torsion engine: homology, torsion, signs, multiplicativity."""
 
 import copy
 import sys
@@ -10,7 +9,6 @@ import pytest
 from fibtor import (
     BasedChainComplex,
     ChainComplexError,
-    change_of_basis_det,
     figure_eight,
     holonomy_representation,
     homology,
@@ -23,37 +21,6 @@ from fibtor.linalg import column_space, nullspace, numerical_rank
 from fibtor.rep import twisted_cochain_complex
 from fibtor.torsion import random_invertible, sign_parity
 from fibtor.verify import random_based_complex, random_block_sum_ses
-
-
-# -- change of basis -----------------------------------------------------------
-
-def test_change_of_basis_identity():
-    b = np.eye(4)
-    assert change_of_basis_det(b, b) == pytest.approx(1.0)
-
-
-def test_change_of_basis_swap():
-    b = list(np.eye(3))
-    a = [b[1], b[0], b[2]]
-    assert change_of_basis_det(a, b) == pytest.approx(-1.0)
-
-
-def test_change_of_basis_scaling():
-    b = list(np.eye(3))
-    a = [2 * b[0], b[1], b[2]]
-    assert change_of_basis_det(a, b) == pytest.approx(2.0)
-
-
-def test_change_of_basis_singular_b():
-    a = np.eye(2)
-    b = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        change_of_basis_det(a, b)
-
-
-def test_change_of_basis_mismatched():
-    with pytest.raises(ValueError):
-        change_of_basis_det(np.eye(2), np.eye(3))
 
 
 # -- homology ------------------------------------------------------------------
@@ -401,9 +368,6 @@ def test_random_invertible_matches_its_reference():
                 ref = np.eye(0, dtype=complex)
             assert got.tobytes() == ref.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-            # the basis-change check's plain determinant is change_of_basis_det's
-            expected = change_of_basis_det(got.T, np.eye(n)) if n else 1.0 + 0j
-            assert complex(np.linalg.det(got.T)) == expected
 
 
 def test_random_based_complex_supplies_one_vector_per_homology_dimension():
@@ -438,7 +402,43 @@ def test_multiplicativity_rejects_incompatible_bases():
     rng = np.random.default_rng(53)
     cs, ct, cq, incl, proj = random_block_sum_ses(rng)
     incl = [m.copy() for m in incl]
-    if incl[0].shape[1]:
-        incl[0][:, 0] *= 2.0  # breaks [c/c'c''] = 1
-        with pytest.raises(ChainComplexError):
-            multiplicativity_check(cs, ct, cq, incl, proj)
+    # the first degree whose inclusion has a column (degree 1 at this seed)
+    i = next(i for i, m in enumerate(incl) if m.shape[1])
+    incl[i][:, 0] *= 2.0  # [c/c'c''] = 2
+    with pytest.raises(ChainComplexError, match="bases incompatible at degree %d" % i):
+        multiplicativity_check(cs, ct, cq, incl, proj)
+
+
+def _unit_complex(direction="chain"):
+    """Two degrees of dimension 1 joined by the differential 1: acyclic."""
+    return BasedChainComplex([1, 1], [np.eye(1)], direction=direction)
+
+
+def test_multiplicativity_rejects_mixed_directions():
+    c = _unit_complex()
+    with pytest.raises(ChainComplexError, match="must share the direction convention"):
+        multiplicativity_check(_unit_complex("cochain"), c, c,
+                               [np.eye(1)] * 2, [np.eye(1)] * 2)
+
+
+def test_multiplicativity_rejects_mismatched_degree_ranges():
+    c = _unit_complex()
+    with pytest.raises(ChainComplexError, match="must share the degree range"):
+        multiplicativity_check(BasedChainComplex([0], []), c, c,
+                               [np.zeros((1, 0))], [np.eye(1)])
+
+
+def test_multiplicativity_rejects_non_injective_inclusion():
+    c = _unit_complex()
+    zero = BasedChainComplex([0, 0], [np.zeros((0, 0))])
+    with pytest.raises(ChainComplexError, match="inclusion not injective at degree 0"):
+        multiplicativity_check(c, c, zero, [np.zeros((1, 1)), np.eye(1)],
+                               [np.zeros((0, 1))] * 2)
+
+
+def test_multiplicativity_rejects_projection_not_killing_the_sub():
+    c = _unit_complex()
+    total = BasedChainComplex([2, 2], [np.eye(2)])
+    first = np.array([[1.0], [0.0]])
+    with pytest.raises(ChainComplexError, match="proj o incl != 0 at degree 0"):
+        multiplicativity_check(c, total, c, [first] * 2, [first.T] * 2)

@@ -22,7 +22,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 FIG8_FILE = {"name": "figure_eight", "genus": 1, "fiber_generators": ["a", "b"],
              "meridian": "t", "monodromy": {"a": "a b", "b": "b a b"}}
-# knot files, written as JSON; the rep file is computed by the checkout
+# knot files, written as JSON
 KNOT_FILES = {
     "fig8.json": FIG8_FILE,
     # the trace_map key as knot files used to carry it
@@ -30,15 +30,36 @@ KNOT_FILES = {
         "x3", "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"]),
     "fig8_unknown_generator.json": dict(FIG8_FILE, monodromy={"a": "a c", "b": "b a b"}),
 }
-HOLONOMY_REP_FILE = "fig8_holonomy_plus.json"
-HOLONOMY_REP = """
+# files the checkout computes: each script prints one file
+REP_FILE = """
 import json
-from fibtor import figure_eight, holonomy_representation
-rep = holonomy_representation(figure_eight(), 1)
-print(json.dumps({"images": {g: [[[z.real, z.imag] for z in row]
-                                 for row in rep.image(g).tolist()]
-                             for g in ("a", "b", "t")}}))
+def write(rep, names):
+    # the image of generator g of rep, under each file generator name -> g
+    print(json.dumps({"images": {name: [[[z.real, z.imag] for z in row]
+                                        for row in rep.image(g).tolist()]
+                                 for name, g in names.items()}}))
 """
+HOLONOMY_REP_FILE = "fig8_holonomy_plus.json"
+HOLONOMY_REP = REP_FILE + """
+from fibtor import figure_eight, holonomy_representation
+write(holonomy_representation(figure_eight(), 1), {g: g for g in ("a", "b", "t")})
+"""
+# trefoil # trefoil, genus two, with one SU(2) trefoil lift on both handles:
+# the unit eigenvalue is triple there, and compute must say so
+GRANNY_FILE = "granny.json"
+GRANNY = """
+from fibtor import FiberedKnot
+print(FiberedKnot("granny", 2, ["a1", "b1", "a2", "b2"],
+                  {"a1": "a1 B1 A1", "b1": "a1 b1", "a2": "a2 B2 A2", "b2": "a2 b2"}).to_json())
+"""
+GRANNY_REP_FILE = "granny_trefoil_su2.json"
+GRANNY_REP = REP_FILE + """
+from fibtor import SU2, lift_character_to_rep, trefoil
+write(lift_character_to_rep(trefoil(), (1.2, 1.2, 1.2), flavor=SU2),
+      {"a1": "a", "b1": "b", "a2": "a", "b2": "b", "t": "t"})
+"""
+COMPUTED_FILES = {HOLONOMY_REP_FILE: HOLONOMY_REP, GRANNY_FILE: GRANNY,
+                  GRANNY_REP_FILE: GRANNY_REP}
 
 SWEEP_GRIDS = [
     ("trefoil", "x=-0.9:1.9:20"),
@@ -90,6 +111,9 @@ CASES = [
      ["compute", "--knot-file", "inputs/fig8_unknown_generator.json", "--x", "3,1.5,3"]),
     ("compute_fig8_rep_file",
      ["compute", "--knot", "figure_eight", "--rep-file", "inputs/" + HOLONOMY_REP_FILE]),
+    ("compute_knot_file_granny_rep_file",
+     ["compute", "--knot-file", "inputs/" + GRANNY_FILE,
+      "--rep-file", "inputs/" + GRANNY_REP_FILE]),
 ]
 for knot, grid in SWEEP_GRIDS:
     for fmt in ("csv", "json"):
@@ -116,9 +140,10 @@ def main(argv=None):
     inputs.mkdir(exist_ok=True)
     for name, doc in KNOT_FILES.items():
         (inputs / name).write_text(json.dumps(doc, indent=2) + "\n")
-    rep = subprocess.run([sys.executable, "-c", HOLONOMY_REP], capture_output=True,
-                         text=True, env=env, check=True)
-    (inputs / HOLONOMY_REP_FILE).write_text(rep.stdout)
+    for name, script in COMPUTED_FILES.items():
+        made = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=True)
+        (inputs / name).write_text(made.stdout)
     crashed = []
     for name, args in CASES:
         # input paths are relative to DIR, so no output names the directory
