@@ -52,6 +52,7 @@ from .fibered import (
     epsilon0,
     jacobian_torsion,
     lift_character_to_rep,
+    lift_characters_to_reps,
     main_theorem_torsion,
     sample_fixed_locus,
     torus_closed_form,

@@ -24,6 +24,7 @@ from .errors import FibtorError, InvalidInputError
 from .fibered import (
     FiberedKnot,
     lift_character_to_rep,
+    lift_characters_to_reps,
     main_theorem_torsion,
     TorsionReport,
 )
@@ -34,6 +35,8 @@ from .verify import run_checks
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 MAX_SWEEP_ROWS = 1_000_000
+# sweep rows lifted as one stack: a bound on the memory a stack holds at once
+SWEEP_STACK_ROWS = 1024
 
 
 def _fmt_float(x):
@@ -215,6 +218,11 @@ def _character_from_params(fk, params):
         "figure_eight, or x1,x2,x3)" % (sorted(params), fk.name))
 
 
+def _refuse(row, exc):
+    row["error"] = exc.code
+    row["message"] = str(exc)
+
+
 def cmd_sweep(args):
     tol = _rank_tol(args)
     fk = _load_knot(args)
@@ -225,18 +233,27 @@ def cmd_sweep(args):
     mesh = [dict(zip(names, vals))
             for vals in itertools.product(*(grid[n] for n in names))]
     rows = []
-    failures = 0
-    for params in mesh:
-        row = {"params": params}
-        try:
-            point = _character_from_params(fk, params)
-            rep = lift_character_to_rep(fk, point, tol=tol)
-            row["report"] = main_theorem_torsion(fk, rep)
-        except FibtorError as exc:
-            row["error"] = exc.code
-            row["message"] = str(exc)
-            failures += 1
-        rows.append(row)
+    for start in range(0, len(mesh), SWEEP_STACK_ROWS):
+        # the rows on the locus are lifted as one stack, then each row's
+        # torsion is computed; a refused row keeps the error that refused it
+        lifting = []
+        for params in mesh[start:start + SWEEP_STACK_ROWS]:
+            row = {"params": params}
+            rows.append(row)
+            try:
+                lifting.append((row, _character_from_params(fk, params)))
+            except FibtorError as exc:
+                _refuse(row, exc)
+        reps = lift_characters_to_reps(fk, [point for _, point in lifting], tol=tol)
+        for (row, _), rep in zip(lifting, reps):
+            if isinstance(rep, FibtorError):
+                _refuse(row, rep)
+                continue
+            try:
+                row["report"] = main_theorem_torsion(fk, rep)
+            except FibtorError as exc:
+                _refuse(row, exc)
+    failures = sum("error" in r for r in rows)
     text = _render_rows(names, rows, args.format)
     if args.out:
         with open(args.out, "w") as fh:

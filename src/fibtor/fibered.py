@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DegenerateMonodromyError,
+    FibtorError,
     InvalidInputError,
     NonSimpleUnitEigenvalueError,
     NotFixedPointError,
@@ -507,21 +508,27 @@ class Polynomial(dict):
         return terms
 
     def __call__(self, point):
-        value = 0
-        for k, (exps, c) in enumerate(self._ordered()):
-            factors = [point[i] if e == 1 else point[i] ** e
-                       for i, e in enumerate(exps) if e]
-            term = c if k == 0 else abs(c)  # a leading minus binds to the term
-            if factors and term in (1, -1):
-                term = factors.pop(0) if term == 1 else -factors.pop(0)
-            for f in factors:
-                term = term * f
-            value = term if k == 0 else value - term if c < 0 else value + term
-        return value
+        return _evaluate(self._ordered(), point)
 
     def diff(self, i):
         return Polynomial({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
                            for e, c in self.items() if e[i]})
+
+
+def _evaluate(terms, point):
+    """The sum of the (exponents, coefficient) terms at the point, in their
+    order and with sympy's roundings (`Polynomial._ordered`)."""
+    value = 0
+    for k, (exps, c) in enumerate(terms):
+        factors = [point[i] if e == 1 else point[i] ** e
+                   for i, e in enumerate(exps) if e]
+        term = c if k == 0 else abs(c)  # a leading minus binds to the term
+        if factors and term in (1, -1):
+            term = factors.pop(0) if term == 1 else -factors.pop(0)
+        for f in factors:
+            term = term * f
+        value = term if k == 0 else value - term if c < 0 else value + term
+    return value
 
 
 def _sum(*terms):
@@ -563,7 +570,8 @@ class TraceCoordMap:
 
     def __init__(self, polynomials):
         self.polynomials = tuple(map(Polynomial, polynomials))
-        self._jac = [[p.diff(j) for j in range(3)] for p in self.polynomials]
+        # the Jacobian entries' terms in evaluation order, sorted once
+        self._jac = [[p.diff(j)._ordered() for j in range(3)] for p in self.polynomials]
 
     @classmethod
     def from_monodromy(cls, fk):
@@ -578,7 +586,8 @@ class TraceCoordMap:
 
     def jacobian(self, point):
         """Exact polynomial Jacobian (dP_i/dx_j), evaluated at the point."""
-        return np.array([[d(point) for d in row] for row in self._jac], dtype=complex)
+        return np.array([[_evaluate(d, point) for d in row] for row in self._jac],
+                        dtype=complex)
 
     def fixed_locus_relations(self):
         """Reduced Groebner basis of the fixed locus P(x) = x."""
@@ -644,15 +653,9 @@ def _normal_form_pair(x1, x2, x3):
     return A, B
 
 
-def lift_character_to_rep(fk, point, flavor=SL2C, tol=RANK_TOL):
-    """Representation of the knot group over a fixed-locus character point.
-
-    The fiber generators get matrices with the prescribed traces (SL2C
-    normal form, or an honest SU(2) pair for flavor SU2); the meridian image
-    is the intertwiner T with T rho(phi(x)) = rho(x) T, normalized to
-    determinant one by the principal square root.  `tol` is the
-    representation's rank cutoff.
-    """
+def _fiber_pair(fk, point, flavor):
+    """The scalar checks of a lift, in order, and the fiber pair (A, B) with
+    the point's trace coordinates that they pass to."""
     if fk.genus != 1:
         raise InvalidInputError("character lifting is implemented for genus one")
     x1, x2, x3 = (complex(point[0]), complex(point[1]), complex(point[2]))
@@ -671,21 +674,30 @@ def lift_character_to_rep(fk, point, flavor=SL2C, tol=RANK_TOL):
         if max(abs(x1.imag), abs(x2.imag), abs(x3.imag)) > 1e-10:
             raise InvalidInputError("SU(2) characters must be real")
         try:
-            A, B = su2_pair(x1.real, x2.real, x3.real)
+            return su2_pair(x1.real, x2.real, x3.real)
         except ValueError as exc:
             raise InvalidInputError(str(exc)) from exc
-    else:
-        A, B = _normal_form_pair(x1, x2, x3)
+    return _normal_form_pair(x1, x2, x3)
 
-    # rho(phi(x)) is the last entry of the monodromy word's prefix stack; the
-    # stacks are left on the representation for monodromy_action's Fox blocks
-    words = [w.letters for w in fk.monodromy_words()]
-    inverses = (sl2_inverse(A), sl2_inverse(B))
-    stacks = {w: prefix_products((A, B), inverses, w) for w in words}
+
+def _intertwiner_systems(images, targets):
+    """The (N, 8, 4) linear systems of the meridian intertwiners at N points.
+
+    T rho(phi(x)) = rho(x) T reads kron(P^T, I) - kron(I, X) on the
+    column-major entries of T, for P = rho(phi(x)) and X = rho(x): one 4x4
+    block per fiber generator x.  `images` and `targets` are the (2, N, 2, 2)
+    stacks of the P and the X.  The entries are the products np.kron forms,
+    so they are kron's bits, signed zeros included.
+    """
     eye = np.eye(2)
-    system = np.vstack([np.kron(stacks[w][-1].T, eye) - np.kron(eye, target)
-                        for w, target in zip(words, [A, B])])
-    _, svals, vh = np.linalg.svd(system)
+    left = images.swapaxes(-1, -2)[..., :, None, :, None] * eye[:, None, :]
+    right = eye[:, None, :, None] * targets[..., None, :, None, :]
+    return (left - right).swapaxes(0, 1).reshape(images.shape[1], -1, 4)
+
+
+def _check_intertwiner(svals, det):
+    """The checks on one point's intertwiner system: its singular values
+    and the determinant of the kernel vector as a 2x2 matrix."""
     small = len(svals) - _rank(svals, 1e-7)
     if small == 0:
         raise NotFixedPointError(
@@ -694,17 +706,85 @@ def lift_character_to_rep(fk, point, flavor=SL2C, tol=RANK_TOL):
     if small > 1:
         raise NotFixedPointError(
             "intertwiner space has dimension %d; the pair is degenerate" % small)
-    T = vh[-1].conj().reshape((2, 2), order="F")
-    det = np.linalg.det(T)
     if abs(det) < 1e-12:
         raise NotFixedPointError("intertwiner is singular")
-    T = T / cmath.sqrt(det)
-    images = {fk.fiber_generators[0]: A, fk.fiber_generators[1]: B,
-              fk.meridian: T}
-    rep = Representation(fk.presentation(), images, flavor=flavor, tol=tol)
-    # the fiber generators are the presentation's first, so the letters of a
-    # monodromy word index the same images there
-    rep.prefix_stacks.update(stacks)
+
+
+def lift_characters_to_reps(fk, points, flavor=SL2C, tol=RANK_TOL):
+    """Representations of the knot group over fixed-locus character points:
+    per point, its Representation or the FibtorError that refused it.
+
+    Each point passes `lift_character_to_rep`'s checks in the same order,
+    with the same messages and the same bits; the matrix work of all points
+    that pass the scalar checks runs stacked: one prefix-product pass per
+    monodromy word and per relator, one SVD and one determinant call.
+    Errors are kept without their tracebacks, whose frames would hold the
+    whole stack.
+    """
+    out = [None] * len(points)
+    pairs, live = [], []
+    for i, point in enumerate(points):
+        try:
+            pairs.append(_fiber_pair(fk, point, flavor))
+            live.append(i)
+        except FibtorError as exc:
+            out[i] = exc.with_traceback(None)
+    if not pairs:
+        return out
+    A, B = (np.array(m) for m in zip(*pairs))
+    inverses = (sl2_inverse(A), sl2_inverse(B))
+    # rho(phi(x)) is the last entry of the monodromy word's prefix stack; the
+    # stacks are left on the representations for monodromy_action's Fox blocks
+    words = [w.letters for w in fk.monodromy_words()]
+    stacks = [prefix_products((A, B), inverses, w) for w in words]
+    _, svals, vh = np.linalg.svd(_intertwiner_systems(
+        np.array([s[-1] for s in stacks]), np.array([A, B])))
+    # the kernel vector holds T column by column
+    T = vh[:, -1].conj().reshape(-1, 2, 2).swapaxes(1, 2)
+    dets = np.linalg.det(T)
+    kept = []
+    for j, i in enumerate(live):
+        try:
+            _check_intertwiner(svals[j], dets[j])
+            kept.append(j)
+        except FibtorError as exc:
+            out[i] = exc.with_traceback(None)
+    if not kept:
+        return out
+    T = T[kept] / np.array([cmath.sqrt(dets[j]) for j in kept])[:, None, None]
+    images = (A[kept], B[kept], T)
+    inverses = (inverses[0][kept], inverses[1][kept], sl2_inverse(T))
+    presentation = fk.presentation()
+    with np.errstate(over="ignore", invalid="ignore"):  # as relator_defect
+        relators = {r.letters: prefix_products(images, inverses, r.letters)
+                    for r in presentation.relators}
+    for k, j in enumerate(kept):
+        # the fiber generators are the presentation's first, so the letters
+        # of a monodromy word index the same images there
+        memo = {w: s[:, j] for w, s in zip(words, stacks)}
+        memo.update((r, s[:, k]) for r, s in relators.items())
+        try:
+            out[live[j]] = Representation(
+                presentation, [m[k] for m in images], flavor=flavor, tol=tol,
+                inverses=[m[k] for m in inverses], prefix_stacks=memo)
+        except FibtorError as exc:
+            out[live[j]] = exc.with_traceback(None)
+    return out
+
+
+def lift_character_to_rep(fk, point, flavor=SL2C, tol=RANK_TOL):
+    """Representation of the knot group over a fixed-locus character point.
+
+    The fiber generators get matrices with the prescribed traces (SL2C
+    normal form, or an honest SU(2) pair for flavor SU2); the meridian image
+    is the intertwiner T with T rho(phi(x)) = rho(x) T, normalized to
+    determinant one by the principal square root.  `tol` is the
+    representation's rank cutoff.  This is the one-point case of
+    `lift_characters_to_reps`.
+    """
+    (rep,) = lift_characters_to_reps(fk, [point], flavor=flavor, tol=tol)
+    if isinstance(rep, FibtorError):
+        raise rep
     return rep
 
 

@@ -76,20 +76,33 @@ def commutator_trace(x1, x2, x3):
 
 
 def prefix_products(images, inverses, letters):
-    """The (L + 1, 2, 2) stack of left-to-right partial products of the L
-    letters (generator index, +-1): entry k is the product of the images of
-    the first k letters, entry 0 the identity.  Each entry is the one before
-    times one generator image (or its inverse, from `inverses`): the same
-    products in the same order as `Representation.evaluate_word`, so the
-    last entry is that evaluation bit for bit.  `np.dot` writes each product
-    into the stack, with less call overhead than `@` and a new array; both
-    are one BLAS 2x2 product, and the tests compare the two by bytes.
+    """The left-to-right partial products of the L letters (generator
+    index, +-1), at one point or at N points at once.
+
+    `images` and `inverses` hold each generator's image and its inverse: a
+    2x2 matrix per generator, or an (N, 2, 2) stack of its images at N
+    points.  The result is the (L + 1, 2, 2) stack, or (L + 1, N, 2, 2) for
+    N points: entry k is the product of the images of the first k letters,
+    entry 0 the identity.  Each entry is the one before times one generator
+    image (or its inverse): the same products in the same order as
+    `Representation.evaluate_word`, so at every point the last entry is
+    that evaluation bit for bit.  One loop walks the letters: at N > 1 each
+    letter is one `np.matmul` over all points; at one point it is one
+    `np.dot` into the stack, with less call overhead than `np.matmul` on a
+    stack of one.  Both are one BLAS 2x2 product per point, and the tests
+    compare them by bytes.
     """
-    out = np.empty((len(letters) + 1, 2, 2), dtype=complex)
+    shape = np.shape(images[0])
+    out = np.empty((len(letters) + 1,) + shape, dtype=complex)
     out[0] = np.eye(2)
     factors = (None, images, inverses)  # indexed by the exponent +-1
+    rows = out
+    if len(shape) == 3 and shape[0] == 1:  # a stack of one point: its 2x2 views
+        rows = out.reshape(-1, 2, 2)
+        factors = (None,) + tuple([m[0] for m in ms] for ms in factors[1:])
+    product = np.dot if rows.ndim == 3 else np.matmul
     for k, (g, e) in enumerate(letters):
-        np.dot(out[k], factors[e][g], out=out[k + 1])
+        product(rows[k], factors[e][g], out=rows[k + 1])
     return out
 
 
@@ -102,11 +115,13 @@ class Representation:
     decision made on this representation's data uses.  `prefix_stacks` is
     the memo of `prefix_stack`, keyed by a word's letters; it lives with the
     representation, so each word is multiplied through once per
-    representation.
+    representation.  A caller that has already computed the images'
+    `inverses` (by `sl2_inverse`) or some words' `prefix_stacks` (by
+    `prefix_products`) hands them in, and the checks run on them.
     """
 
     def __init__(self, presentation, images, flavor=SL2C, tol=RANK_TOL,
-                 check=True):
+                 check=True, inverses=None, prefix_stacks=None):
         self.presentation = presentation
         if isinstance(images, dict):
             images = [images[name] for name in presentation.generators]
@@ -115,9 +130,10 @@ class Representation:
             raise ValueError("one image per generator required")
         self.flavor = flavor
         self.tol = tol
-        self._inverses = [sl2_inverse(m) for m in self.images]
+        self._inverses = (list(inverses) if inverses is not None
+                          else [sl2_inverse(m) for m in self.images])
         self._adjoints = {}
-        self.prefix_stacks = {}
+        self.prefix_stacks = dict(prefix_stacks or {})
         if check:
             for m in self.images:
                 if m.shape != (2, 2):

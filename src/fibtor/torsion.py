@@ -300,10 +300,24 @@ def _torsion(c, hdata, rng=None):
 def random_invertible(rng, n):
     """A random well-conditioned invertible n x n matrix: a random unitary
     times a diagonal scaling near 1."""
+    return invertible_from(draw_invertible(rng, n))
+
+
+def draw_invertible(rng, n):
+    """The random numbers of `random_invertible(rng, n)`, drawn in its
+    order, for `invertible_from` to build the matrix from."""
     if n == 0:
+        return None
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.standard_normal(n)
+
+
+def invertible_from(draw):
+    """The matrix of `random_invertible` from its `draw_invertible` draw."""
+    if draw is None:
         return np.eye(0, dtype=complex)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * np.exp(0.3 * rng.standard_normal(n))
+    real, imag, scale = draw
+    q, _ = np.linalg.qr(real + 1j * imag)
+    return q * np.exp(0.3 * scale)
 
 
 def sign_parity(dims, homology_dims):

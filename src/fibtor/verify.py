@@ -27,7 +27,9 @@ from .fibered import (
 from .rep import SL2C, SU2, Representation, commutator_trace, twisted_cochain_complex
 from .torsion import (
     BasedChainComplex,
+    draw_invertible,
     homology,
+    invertible_from,
     multiplicativity_check,
     random_invertible,
     torsion,
@@ -42,20 +44,34 @@ def random_based_complex(rng, max_degree=4):
     """A random based, homology based chain complex with controlled
     conditioning: a sum of elementary pieces (isomorphisms and bare homology
     summands) pushed through random well-conditioned basis changes."""
+    return _build_based_complex(_draw_based_complex(rng, max_degree))
+
+
+def _draw_based_complex(rng, max_degree):
+    """Every random number of `random_based_complex`, drawn in its order:
+    the top degree n, the homology and pair dimensions, the pairs' diagonal
+    entries and the basis-change draws.  Drawing is cheap; building is not,
+    so a caller can look at n before it builds."""
     n = int(rng.integers(1, max_degree + 1))
     hdims = [int(rng.integers(0, 3)) for _ in range(n + 1)]
     pairs = [int(rng.integers(0, 3)) for _ in range(n)]
     dims = [hdims[i]
             + (pairs[i] if i < n else 0)
             + (pairs[i - 1] if i > 0 else 0) for i in range(n + 1)]
+    diagonals = [[1.0 + 0.3 * rng.standard_normal() for _ in range(p)] for p in pairs]
+    return n, hdims, pairs, dims, diagonals, [draw_invertible(rng, m) for m in dims]
+
+
+def _build_based_complex(draw):
+    n, hdims, pairs, dims, diagonals, changes = draw
     # canonical block differentials
     ds = []
     for i in range(1, n + 1):
         d = np.zeros((dims[i - 1], dims[i]), dtype=complex)
         row0 = hdims[i - 1] + (pairs[i - 2] if i - 1 > 0 else 0)
         col0 = hdims[i]
-        for k in range(pairs[i - 1]):
-            d[row0 + k, col0 + k] = 1.0 + 0.3 * rng.standard_normal()
+        for k, v in enumerate(diagonals[i - 1]):
+            d[row0 + k, col0 + k] = v
         ds.append(d)
     hb = []
     for i in range(n + 1):
@@ -64,7 +80,7 @@ def random_based_complex(rng, max_degree=4):
             z[k, k] = 1.0
         hb.append(z)
     # random changes of basis
-    mats = [random_invertible(rng, m) for m in dims]
+    mats = [invertible_from(c) for c in changes]
     nds = [np.linalg.inv(mats[i - 1]) @ ds[i - 1] @ mats[i] for i in range(1, n + 1)]
     nhb = [np.linalg.inv(mats[i]) @ hb[i] for i in range(n + 1)]
     return BasedChainComplex(dims, nds, direction="chain", homology_bases=nhb)
@@ -74,10 +90,11 @@ def random_block_sum_ses(rng):
     """A short exact sequence C' >-> C' (+) C'' ->> C'' with block bases and
     generically mixed homology bases on the middle complex."""
     c1 = random_based_complex(rng, 3)
-    while True:
-        c2 = random_based_complex(rng, 3)
-        if c2.top_degree == c1.top_degree:
+    while True:  # a draw of another degree only consumes its random numbers
+        draw = _draw_based_complex(rng, 3)
+        if draw[0] == c1.top_degree:
             break
+    c2 = _build_based_complex(draw)
     n = c1.top_degree
     dims = [c1.dims[i] + c2.dims[i] for i in range(n + 1)]
     ds = []

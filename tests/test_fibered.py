@@ -13,6 +13,7 @@ import sympy
 from fibtor import (
     DegenerateMonodromyError,
     FiberedKnot,
+    FibtorError,
     GroupPresentation,
     InvalidInputError,
     NonSimpleUnitEigenvalueError,
@@ -31,6 +32,7 @@ from fibtor import (
     homology,
     jacobian_torsion,
     lift_character_to_rep,
+    lift_characters_to_reps,
     main_theorem_torsion,
     multiplicativity_check,
     torus_closed_form,
@@ -48,6 +50,7 @@ from fibtor.fibered import (
     trace_polynomial,
 )
 from fibtor import fibered as fibered_module
+from fibtor.cli import main as cli_main
 from fibtor import rep as rep_module
 from fibtor.linalg import column_space
 from fibtor.verify import multiset_distance
@@ -539,6 +542,96 @@ def test_each_word_is_walked_once_per_representation(monkeypatch):
         + [len(r) for r in fk.presentation().relators])
     assert sum(map(len, walked)) == 233 + 239
     assert len(set(walked)) == len(walked)
+
+
+def _outcome(lifted):
+    """What a lift gave, in bytes and strings: the error's type, code and
+    message, or the images, inverses and prefix stacks."""
+    if isinstance(lifted, Exception):
+        return type(lifted), lifted.code, str(lifted)
+    return ([m.tobytes() for m in lifted.images], [m.tobytes() for m in lifted._inverses],
+            {w: s.tobytes() for w, s in lifted.prefix_stacks.items()},
+            lifted.flavor, lifted.tol)
+
+
+def _one_point_outcome(fk, point, **kwargs):
+    try:
+        return _outcome(lift_character_to_rep(fk, point, **kwargs))
+    except FibtorError as exc:
+        return _outcome(exc)
+
+
+def test_stacked_lift_matches_one_point_lift():
+    u = np.linspace(-300.0, 300.0, 61)
+    raw = [(x1, x2, x3) for x1 in np.linspace(-1, 2, 7) for x2 in (0.5, 0.75)
+           for x3 in np.linspace(-1, 1, 5)]
+    cases = [
+        # ok and REDUCIBLE_CHARACTER rows (x = -1 and x = 2), and INVALID_INPUT
+        # (x = -2e8: the normal form's eigenvalue rounds to 0)
+        (trefoil(), [(x, x, x) for x in np.linspace(-1, 2, 13)] + [(-2e8,) * 3], {}),
+        (trefoil(), [(x, x, x) for x in (-1.0, 0.3, 0.9, 1.5, 3.0)], {"flavor": SU2}),
+        # ok and RELATOR_VIOLATION rows
+        (figure_eight(), [fig8_locus_point(v) for v in u if v != 1.0], {}),
+        # NOT_FIXED_POINT rows on raw coordinates, under another rank cutoff
+        (figure_eight(), raw, {"tol": 1e-7}),
+    ]
+    seen = set()
+    for fk, points, kwargs in cases:
+        stacked = lift_characters_to_reps(fk, points, **kwargs)
+        assert len(stacked) == len(points)
+        for point, lifted in zip(points, stacked):
+            assert _outcome(lifted) == _one_point_outcome(fk, point, **kwargs)
+            seen.add(lifted.code if isinstance(lifted, FibtorError) else "ok")
+    assert seen == {"ok", "REDUCIBLE_CHARACTER", "INVALID_INPUT", "NOT_FIXED_POINT",
+                    "RELATOR_VIOLATION"}
+
+
+def test_stacked_lift_edges():
+    fk = figure_eight()
+    assert lift_characters_to_reps(fk, []) == []
+    # every point refused before the stack
+    refused = lift_characters_to_reps(trefoil(), [(2.0, 2.0, 2.0)] * 3)
+    assert [type(e) for e in refused] == [ReducibleCharacterError] * 3
+    # a genus-two knot refuses every point with the same message
+    granny = FiberedKnot("granny", 2, ["a1", "b1", "a2", "b2"],
+                         {"a1": "a1 B1 A1", "b1": "a1 b1", "a2": "a2 B2 A2", "b2": "a2 b2"})
+    with pytest.raises(InvalidInputError, match="genus one") as one:
+        lift_character_to_rep(granny, (1, 1, 1))
+    refused = lift_characters_to_reps(granny, [(1, 1, 1), (0, 0, 0)])
+    assert [str(e) for e in refused] == [str(one.value)] * 2
+
+
+def test_intertwiner_systems_are_krons_bits():
+    # signed zeros and both signs of every part, as the normal form makes them
+    gen = np.random.default_rng(8)
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -1e-300])
+    images, targets = (gen.choice(parts, (2, 6, 2, 2)) + 1j * gen.choice(parts, (2, 6, 2, 2))
+                       for _ in range(2))
+    systems = fibered_module._intertwiner_systems(images, targets)
+    eye = np.eye(2)
+    for n in range(6):
+        reference = np.vstack([np.kron(images[w, n].T, eye) - np.kron(eye, targets[w, n])
+                               for w in range(2)])
+        assert systems[n].tobytes() == reference.tobytes()
+
+
+def test_a_sweep_walks_each_word_once_for_all_rows(monkeypatch, capsys):
+    # the 64 rows of a sweep are lifted as one stack: one kernel call per
+    # monodromy word and per relator, not one per row
+    walked = []
+    kernel = rep_module.prefix_products
+
+    def counting(images, inverses, letters):
+        walked.append(letters)
+        return kernel(images, inverses, letters)
+
+    monkeypatch.setattr(rep_module, "prefix_products", counting)
+    monkeypatch.setattr(fibered_module, "prefix_products", counting)
+    assert cli_main(["sweep", "--knot", "figure_eight", "--grid", "u=-2:0.9:64"]) == 0
+    assert capsys.readouterr().out.count("\n") == 65
+    fk = figure_eight()
+    assert sorted(walked) == sorted([w.letters for w in fk.monodromy_words()]
+                                    + [r.letters for r in fk.presentation().relators])
 
 
 def test_one_presentation_per_knot():

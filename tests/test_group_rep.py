@@ -28,6 +28,7 @@ from fibtor.rep import (
     SL2_BASIS,
     coboundary_matrix,
     fox_adjoint_blocks,
+    prefix_products,
     sl2_inverse,
 )
 
@@ -228,6 +229,28 @@ def test_fox_adjoint_blocks_equal_group_ring_path():
                 padded = _pad_with_cancelling_pairs(pad, w, n, 8)
                 assert (rep.prefix_stack(padded.letters)[-1].tobytes()
                         == rep.evaluate_word(padded).tobytes())
+
+
+def test_prefix_products_stacked_match_evaluate_word():
+    # one point as a 2x2 matrix, as a stack of one and inside a stack of N:
+    # at every point each entry is evaluate_word's @ loop, compared by bytes
+    gen = np.random.default_rng(33)
+    pres = GroupPresentation(["a", "b", "t"], [])
+    for count in (1, 5):
+        reps = [Representation(pres, _random_images(gen, 3, SL2C)) for _ in range(count)]
+        images = [np.array([r.images[g] for r in reps]) for g in range(3)]
+        inverses = [sl2_inverse(m) for m in images]
+        for length in (0, 1, 2, 7, 40):
+            w = _random_reduced_word(gen, 3, length)
+            stacked = prefix_products(images, inverses, w.letters)
+            assert stacked.shape == (length + 1, count, 2, 2)
+            for n, rep in enumerate(reps):
+                alone = prefix_products(rep.images, rep._inverses, w.letters)
+                assert alone.shape == (length + 1, 2, 2)
+                assert stacked[:, n].tobytes() == alone.tobytes()
+                for k in range(length + 1):
+                    assert alone[k].tobytes() == rep.evaluate_word(
+                        Word(w.letters[:k])).tobytes()
 
 
 def test_fox_adjoint_blocks_empty_word_and_cancelling_pairs():

@@ -69,7 +69,16 @@ SWEEP_GRIDS = [
     ("figure_eight", "u=-300:300:61"),
     ("trefoil", "x=-2e8:0.5:2"),
     ("torus(2,3)", "x=0:1:3"),
+    # every row refused before the stacked lift: both rows reducible; the pole
+    ("trefoil", "x=-1:2:2"),
+    ("figure_eight", "u=1:1:1"),
+    # a stack of one row
+    ("figure_eight", "u=0.5:0.5:1"),
 ]
+# raw coordinates on a knot file, with a rank cutoff that the stacked lift
+# hands to every representation
+KNOT_FILE_SWEEP = ["--knot-file", "inputs/fig8.json",
+                   "--grid", "x1=-1:2:7,x2=0.5:0.5:1,x3=-1:1:5", "--tol", "1e-7"]
 
 CASES = [
     ("list", ["list"]),
@@ -119,6 +128,9 @@ for knot, grid in SWEEP_GRIDS:
     for fmt in ("csv", "json"):
         name = re.sub(r"[^\w.-]+", "_", "sweep_%s_%s_%s" % (knot, grid, fmt))
         CASES.append((name, ["sweep", "--knot", knot, "--grid", grid, "--format", fmt]))
+for fmt in ("csv", "json"):
+    CASES.append(("sweep_knot_file_fig8_raw_tol_" + fmt,
+                  ["sweep"] + KNOT_FILE_SWEEP + ["--format", fmt]))
 # 523000: a seed of the size the verify benchmark draws (a multiple of 1000)
 for seed in (0, 1, 2, 3, 523000):
     CASES.append(("verify_seed%d" % seed, ["verify", "--seed", str(seed)]))
