@@ -7,8 +7,10 @@ trace-coordinate Jacobian cross-check):
   figure_eight  monodromy a -> a b, b -> b a b;         trace map
                 (x3, x2 x3 - x1, x2 x3^2 - x1 x3 - x2)
 
-The trace maps are derived from the monodromy words; each knot keeps only
-its locus chart (`LocusChart`).
+Each trace map is `TraceCoordMap.from_monodromy`: it keeps the monodromy
+words and runs the trace recurrence at each point it is asked about, so the
+maps above are never stored; each knot also keeps its locus chart
+(`LocusChart`).
 
 Torus knots are served by the closed-form value only (their fibered
 presentations have genus (p-1)(q-1)/2 and are out of catalog scope beyond

@@ -347,7 +347,7 @@ def main_theorem_torsion(fk, rep):
 
     Requires the fiber restriction irreducible and a simple unit eigenvalue
     of the action on H^1(F).  For genus-one knots carrying a trace-coordinate
-    map, the report also carries the eigenvalues of the exact trace-map
+    map, the report also carries the eigenvalues of the trace-map
     Jacobian at the representation's character as an independent cross-check.
     """
     report = _report(fk, monodromy_action(fk, rep).quotient, "cohomology")
@@ -486,128 +486,110 @@ def wang_product_check(fk, rep):
 
 
 # -- trace-coordinate machinery (genus one) -----------------------------------
+#
+# A word W in a generic pair (A, B) of SL2 is W = i I + a A + b B + c AB, by
+# Cayley-Hamilton: A^2 = x1 A - I, B^2 = x2 B - I and
+# BA = x2 A + x1 B + (x3 - x1 x2) I - AB, with (x1, x2, x3) = (tr A, tr B,
+# tr AB); an inverse letter by Fricke's identity X G^-1 = x_g X - X G.  The
+# state of a word is its four coefficients, each a jet (value, d/dx1, d/dx2,
+# d/dx3), and a letter acts by right multiplication.  Scalars see only + - *,
+# so the same code runs on complex numbers and on exact or multiprecision
+# scalars.
 
 
-_ONE, _X1, _X2, _X3 = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
+def _times_a(x, s):
+    """W A, with ABA = x3 A + B - x2 I."""
+    (i, i1, i2, i3), (a, a1, a2, a3), (b, b1, b2, b3), (c, c1, c2, c3) = s
+    x1, x2, x3 = x
+    k = x3 - x1 * x2
+    return ((k * b - a - x2 * c, k * b1 - a1 - x2 * (c1 + b),
+             k * b2 - a2 - x2 * c2 - x1 * b - c, k * b3 - a3 - x2 * c3 + b),
+            (i + x1 * a + x2 * b + x3 * c, i1 + x1 * a1 + x2 * b1 + x3 * c1 + a,
+             i2 + x1 * a2 + x2 * b2 + x3 * c2 + b, i3 + x1 * a3 + x2 * b3 + x3 * c3 + c),
+            (x1 * b + c, x1 * b1 + c1 + b, x1 * b2 + c2, x1 * b3 + c3),
+            (-b, -b1, -b2, -b3))
 
 
-class Polynomial(dict):
-    """An integer polynomial in (x1, x2, x3), exponent triple -> coefficient,
-    evaluated bit for bit as sympy.lambdify evaluates the same polynomial, so
-    trace-map Jacobian values equal sympy's."""
-
-    def _ordered(self):
-        # the terms in the order sympy's expression sums them, which fixes
-        # the floating-point rounding: descending exponents, except that
-        # sympy has "1 - x1", not "-x1 + 1" (a positive constant goes first
-        # when the only other term is a negative multiple of one power)
-        terms = sorted(self.items(), reverse=True)
-        if (len(terms) == 2 and terms[1][0] == _ONE and terms[1][1] > 0
-                and terms[0][1] < 0 and sum(map(bool, terms[0][0])) == 1):
-            terms.reverse()
-        return terms
-
-    def __call__(self, point):
-        return _evaluate(self._ordered(), point)
-
-    def diff(self, i):
-        return Polynomial({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-                           for e, c in self.items() if e[i]})
+def _times_a_inverse(x, s):
+    """W A^-1 = x1 W - W A."""
+    (i, i1, i2, i3), (a, a1, a2, a3), (b, b1, b2, b3), (c, c1, c2, c3) = s
+    x1, x2, x3 = x
+    k = x3 - x1 * x2
+    return ((x1 * i + a - k * b + x2 * c, x1 * i1 + a1 - k * b1 + x2 * (c1 + b) + i,
+             x1 * i2 + a2 - k * b2 + x2 * c2 + x1 * b + c, x1 * i3 + a3 - k * b3 + x2 * c3 - b),
+            (-i - x2 * b - x3 * c, -i1 - x2 * b1 - x3 * c1, -i2 - x2 * b2 - x3 * c2 - b,
+             -i3 - x2 * b3 - x3 * c3 - c),
+            (-c, -c1, -c2, -c3),
+            (b + x1 * c, b1 + x1 * c1 + c, b2 + x1 * c2, b3 + x1 * c3))
 
 
-def _evaluate(terms, point):
-    """The sum of the (exponents, coefficient) terms at the point, in their
-    order and with sympy's roundings (`Polynomial._ordered`)."""
-    value = 0
-    for k, (exps, c) in enumerate(terms):
-        factors = [point[i] if e == 1 else point[i] ** e
-                   for i, e in enumerate(exps) if e]
-        term = c if k == 0 else abs(c)  # a leading minus binds to the term
-        if factors and term in (1, -1):
-            term = factors.pop(0) if term == 1 else -factors.pop(0)
-        for f in factors:
-            term = term * f
-        value = term if k == 0 else value - term if c < 0 else value + term
-    return value
+def _times_b(x, s):
+    """W B, with AB^2 = x2 AB - A."""
+    (i, i1, i2, i3), (a, a1, a2, a3), (b, b1, b2, b3), (c, c1, c2, c3) = s
+    x2 = x[1]
+    return ((-b, -b1, -b2, -b3), (-c, -c1, -c2, -c3),
+            (i + x2 * b, i1 + x2 * b1, i2 + x2 * b2 + b, i3 + x2 * b3),
+            (a + x2 * c, a1 + x2 * c1, a2 + x2 * c2 + c, a3 + x2 * c3))
 
 
-def _sum(*terms):
-    """The sum of c * x^m * p over the (c, m, p) given."""
-    out = {}
-    for c, m, p in terms:
-        for e, v in p.items():
-            k = (e[0] + m[0], e[1] + m[1], e[2] + m[2])
-            out[k] = out.get(k, 0) + c * v
-    return Polynomial((k, v) for k, v in out.items() if v)
+def _times_b_inverse(x, s):
+    """W B^-1 = x2 W - W B."""
+    (i, i1, i2, i3), (a, a1, a2, a3), (b, b1, b2, b3), (c, c1, c2, c3) = s
+    x2 = x[1]
+    return ((x2 * i + b, x2 * i1 + b1, x2 * i2 + b2 + i, x2 * i3 + b3),
+            (x2 * a + c, x2 * a1 + c1, x2 * a2 + c2 + a, x2 * a3 + c3),
+            (-i, -i1, -i2, -i3), (-a, -a1, -a2, -a3))
 
 
-def trace_polynomial(word):
-    """tr rho(word), for a word in two generators, as a polynomial in
-    (x1, x2, x3) = (tr A, tr B, tr AB).  The word acts on the span of a
-    generic pair, basis (I, A, B, AB), by Cayley-Hamilton: A^2 = x1 A - I,
-    B^2 = x2 B - I, BA = x2 A + x1 B + (x3 - x1 x2) I - AB; an inverse letter
-    by Fricke's identity X G^-1 = tr(G) X - X G."""
-    x = (Polynomial({_ONE: 1}), Polynomial(), Polynomial(), Polynomial())
-    for g, e in word:
-        i, a, b, ab = x
-        if g == 0:  # with ABA = x3 A + B - x2 I
-            y = (_sum((-1, _ONE, a), (1, _X3, b), (-1, (1, 1, 0), b), (-1, _X2, ab)),
-                 _sum((1, _ONE, i), (1, _X1, a), (1, _X2, b), (1, _X3, ab)),
-                 _sum((1, _X1, b), (1, _ONE, ab)), _sum((-1, _ONE, b)))
-        else:  # with AB^2 = x2 AB - A
-            y = (_sum((-1, _ONE, b)), _sum((-1, _ONE, ab)),
-                 _sum((1, _ONE, i), (1, _X2, b)), _sum((1, _ONE, a), (1, _X2, ab)))
-        if e == -1:
-            y = tuple(_sum((1, (_X1, _X2)[g], p), (-1, _ONE, q)) for p, q in zip(x, y))
-        x = y
-    i, a, b, ab = x
-    return _sum((2, _ONE, i), (1, _X1, a), (1, _X2, b), (1, _X3, ab))
+_LETTER_STEPS = {(0, 1): _times_a, (0, -1): _times_a_inverse,
+                 (1, 1): _times_b, (1, -1): _times_b_inverse}
+_EMPTY_WORD = ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+
+
+def _run(steps, x, state=_EMPTY_WORD):
+    for step in steps:
+        state = step(x, state)
+    return state
+
+
+def _trace(x, s):
+    """The jet of tr W = 2 i + x1 a + x2 b + x3 c."""
+    (i, i1, i2, i3), (a, a1, a2, a3), (b, b1, b2, b3), (c, c1, c2, c3) = s
+    x1, x2, x3 = x
+    return (2 * i + x1 * a + x2 * b + x3 * c, 2 * i1 + x1 * a1 + x2 * b1 + x3 * c1 + a,
+            2 * i2 + x1 * a2 + x2 * b2 + x3 * c2 + b, 2 * i3 + x1 * a3 + x2 * b3 + x3 * c3 + c)
 
 
 class TraceCoordMap:
     """The monodromy action on genus-one trace coordinates (x1, x2, x3) =
-    (I_a, I_b, I_ab): three Polynomials, or exponent-triple dicts."""
+    (I_a, I_b, I_ab): P(x) = (tr phi(a), tr phi(b), tr phi(a) phi(b)),
+    given the words phi(a) and phi(b) in the generators 0 and 1."""
 
-    def __init__(self, polynomials):
-        self.polynomials = tuple(map(Polynomial, polynomials))
-        # the Jacobian entries' terms in evaluation order, sorted once
-        self._jac = [[p.diff(j)._ordered() for j in range(3)] for p in self.polynomials]
+    def __init__(self, word_a, word_b):
+        self._steps = [[_LETTER_STEPS[letter] for letter in w] for w in (word_a, word_b)]
 
     @classmethod
     def from_monodromy(cls, fk):
-        """(tr phi(a), tr phi(b), tr phi(a) phi(b)), from the monodromy words."""
+        """The map of a genus-one knot's monodromy words."""
         if fk.genus != 1:
             raise InvalidInputError("trace maps are a genus-one notion here")
-        wa, wb = fk.monodromy_words()
-        return cls([trace_polynomial(w) for w in (wa, wb, wa * wb)])
+        return cls(*fk.monodromy_words())
+
+    def jets(self, point):
+        """The jets (P_k, dP_k/dx1, dP_k/dx2, dP_k/dx3) of the three traces at
+        the point, in the point's scalars; phi(a) phi(b) continues from
+        phi(a)'s state."""
+        steps_a, steps_b = self._steps
+        state_a = _run(steps_a, point)
+        return [_trace(point, s) for s in (state_a, _run(steps_b, point),
+                                           _run(steps_b, point, state_a))]
 
     def __call__(self, point):
-        return tuple(complex(p(point)) for p in self.polynomials)
+        return tuple(complex(jet[0]) for jet in self.jets(point))
 
     def jacobian(self, point):
-        """Exact polynomial Jacobian (dP_i/dx_j), evaluated at the point."""
-        return np.array([[_evaluate(d, point) for d in row] for row in self._jac],
-                        dtype=complex)
-
-    def fixed_locus_relations(self):
-        """Reduced Groebner basis of the fixed locus P(x) = x."""
-        import sympy  # only here: the computing path never needs it
-        gens = sympy.symbols("x1 x2 x3")
-        eqs = [_sum((1, _ONE, p), (-1, v, {_ONE: 1}))
-               for p, v in zip(self.polynomials, (_X1, _X2, _X3))]
-        eqs = [sympy.Poly.from_dict(e, *gens).as_expr() for e in eqs if e]
-        return list(sympy.groebner(eqs, *gens, order="lex").exprs) if eqs else []
-
-    def preserves_boundary_trace(self):
-        """Whether I_gamma o P = I_gamma exactly, I_gamma = tr [A, B]."""
-        def mul(p, q):
-            return _sum(*((c, e, q) for e, c in p.items()))
-
-        def kappa(y1, y2, y3):
-            return _sum((1, _ONE, mul(y1, y1)), (1, _ONE, mul(y2, y2)),
-                        (1, _ONE, mul(y3, y3)), (-1, _ONE, mul(mul(y1, y2), y3)),
-                        (-2, _ONE, {_ONE: 1}))
-        return kappa(*self.polynomials) == kappa(*({m: 1} for m in (_X1, _X2, _X3)))
+        """The Jacobian (dP_i/dx_j) at the point, a complex 3x3 matrix."""
+        return np.array([jet[1:] for jet in self.jets(point)], dtype=complex)
 
 
 def sample_fixed_locus(fk, count, rng, kind="complex"):
@@ -717,7 +699,8 @@ def lift_characters_to_reps(fk, points, flavor=SL2C, tol=RANK_TOL):
     Each point passes `lift_character_to_rep`'s checks in the same order,
     with the same messages and the same bits; the matrix work of all points
     that pass the scalar checks runs stacked: one prefix-product pass per
-    monodromy word and per relator, one SVD and one determinant call.
+    monodromy word and per relator, one SVD and one determinant call.  A
+    point whose monodromy images are not finite is refused before the SVD.
     Errors are kept without their tracebacks, whose frames would hold the
     whole stack.
     """
@@ -736,9 +719,22 @@ def lift_characters_to_reps(fk, points, flavor=SL2C, tol=RANK_TOL):
     # rho(phi(x)) is the last entry of the monodromy word's prefix stack; the
     # stacks are left on the representations for monodromy_action's Fox blocks
     words = [w.letters for w in fk.monodromy_words()]
-    stacks = [prefix_products((A, B), inverses, w) for w in words]
-    _, svals, vh = np.linalg.svd(_intertwiner_systems(
-        np.array([s[-1] for s in stacks]), np.array([A, B])))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        stacks = [prefix_products((A, B), inverses, w) for w in words]
+    moved = np.array([s[-1] for s in stacks])
+    finite = np.isfinite(moved).all(axis=(0, 2, 3))
+    if not finite.all():
+        for j in np.flatnonzero(~finite):
+            out[live[j]] = InvalidInputError(
+                "the monodromy images at (%s, %s, %s) are not finite numbers"
+                % tuple(complex(v) for v in points[live[j]][:3]))
+        if not finite.any():
+            return out
+        live = [i for i, ok in zip(live, finite) if ok]
+        A, B, moved = A[finite], B[finite], moved[:, finite]
+        stacks = [s[:, finite] for s in stacks]
+        inverses = tuple(m[finite] for m in inverses)
+    _, svals, vh = np.linalg.svd(_intertwiner_systems(moved, np.array([A, B])))
     # the kernel vector holds T column by column
     T = vh[:, -1].conj().reshape(-1, 2, 2).swapaxes(1, 2)
     dets = np.linalg.det(T)

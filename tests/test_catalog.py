@@ -19,6 +19,7 @@ from fibtor import (
 )
 from fibtor.catalog import TorusKnotEntry, catalog
 from fibtor.cli import main
+from sympy_traces import X, polynomials
 
 
 def test_catalog_names_and_methods(capsys):
@@ -45,10 +46,8 @@ def test_figure_eight_monodromy_and_trace_map():
     words = {g: fk.monodromy[g].to_string(fk.fiber_generators)
              for g in fk.fiber_generators}
     assert words == {"a": "a b", "b": "b a b"}
-    # (x3, x2 x3 - x1, x2 x3^2 - x1 x3 - x2), exponent triple -> coefficient
-    assert fk.trace_map.polynomials == (
-        {(0, 0, 1): 1}, {(0, 1, 1): 1, (1, 0, 0): -1},
-        {(0, 1, 2): 1, (1, 0, 1): -1, (0, 1, 0): -1})
+    x1, x2, x3 = X
+    assert polynomials(fk.trace_map) == (x3, x2 * x3 - x1, x2 * x3 ** 2 - x1 * x3 - x2)
 
 
 def test_get_entry_torus_parsing():

@@ -483,23 +483,31 @@ def test_rep_file_with_reducible_fiber_restriction(tmp_path, capsys, images, dim
                           "Ad-fixed vector (dim %d); " % dim)
 
 
-def test_runtime_does_not_import_sympy():
-    # every subcommand and every verify check, in a fresh interpreter
+def test_runtime_does_not_import_sympy(tmp_path):
+    # every subcommand and every verify check, in a fresh interpreter, and a
+    # genus-one knot file, whose report carries the trace-map Jacobian
+    knot_file = tmp_path / "fig8.json"
+    knot_file.write_text(get_entry("figure_eight").to_json())
     script = "\n".join([
         "import contextlib, io, sys",
         "import fibtor, fibtor.cli, fibtor.verify",
+        "out = io.StringIO()",
         "with contextlib.redirect_stdout(io.StringIO()), \\",
         "        contextlib.redirect_stderr(io.StringIO()):",
         "    fibtor.cli.main(['list'])",
         "    fibtor.cli.main(['sweep', '--knot', 'trefoil', '--grid', 'x=-0.9:1.9:4'])",
         "    fibtor.cli.main(['sweep', '--knot', 'figure_eight', '--grid', 'u=-2:2:5'])",
         "    fibtor.cli.main(['compute', '--knot', 'figure_eight', '--holonomy', 'plus'])",
+        "with contextlib.redirect_stdout(out):",
+        "    fibtor.cli.main(['compute', '--knot-file', %r, '--x', '3,1.5,3',"
+        " '--format', 'json'])" % str(knot_file),
         "failed = [n for n, ok, _ in fibtor.verify.run_checks() if not ok]",
-        "print(failed, 'sympy' in sys.modules, 'scipy' in sys.modules)",
+        "print(failed, 'sympy' in sys.modules, 'scipy' in sys.modules,",
+        "      'jacobian_eigenvalues' in out.getvalue())",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['fig8_holonomy_fifth'] False False"
+    assert proc.stdout.strip() == "['fig8_holonomy_fifth'] False False True"
 
 
 _NUMBER_TEXT = st.one_of(

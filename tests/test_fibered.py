@@ -5,7 +5,9 @@ import cmath
 import json
 import math
 import random
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -47,22 +49,22 @@ from fibtor.fibered import (
     monodromy_action,
     random_conjugate,
     sample_fixed_locus,
-    trace_polynomial,
 )
 from fibtor import fibered as fibered_module
 from fibtor.cli import main as cli_main
 from fibtor import rep as rep_module
 from fibtor.linalg import column_space
 from fibtor.verify import multiset_distance
+from sympy_traces import (X, fixed_locus_relations, jets, polynomials,
+                          preserves_boundary_trace)
 
 rng = np.random.default_rng(99)
 
 
-# (x1, x2, x3) as polynomials: exponent triple -> coefficient
-X1, X2, X3 = {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
 # the figure-eight map (x3, x2 x3 - x1, x2 x3^2 - x1 x3 - x2) of the catalog docstring
-FIG8_TRACE_MAP = (X3, {(0, 1, 1): 1, (1, 0, 0): -1},
-                  {(0, 1, 2): 1, (1, 0, 1): -1, (0, 1, 0): -1})
+FIG8_TRACE_MAP = (X[2], X[1] * X[2] - X[0], X[1] * X[2] ** 2 - X[0] * X[2] - X[1])
+# the map of the identity monodromy a -> a, b -> b
+IDENTITY_MAP = TraceCoordMap(Word([(0, 1)]), Word([(1, 1)]))
 
 
 def fig8_locus_point(u):
@@ -322,8 +324,8 @@ def test_trefoil_jacobian_is_cyclic_permutation():
 
 
 def test_identity_trace_map_jacobian():
-    tm = TraceCoordMap([X1, X2, X3])
-    assert np.allclose(tm.jacobian((5.0, -2.0, 0.1)), np.eye(3))
+    assert polynomials(IDENTITY_MAP) == X
+    assert np.allclose(IDENTITY_MAP.jacobian((5.0, -2.0, 0.1)), np.eye(3))
 
 
 def test_figure_eight_jacobian_at_origin():
@@ -345,8 +347,9 @@ def test_trace_map_matches_monodromy_traces():
 
 
 def test_boundary_trace_preserved_symbolically():
-    assert trefoil().trace_map.preserves_boundary_trace()
-    assert figure_eight().trace_map.preserves_boundary_trace()
+    assert preserves_boundary_trace(trefoil().trace_map)
+    assert preserves_boundary_trace(figure_eight().trace_map)
+    assert not preserves_boundary_trace(TraceCoordMap(Word([(0, 1)]), Word([(0, 1)])))
 
 
 def test_fixed_locus_relations():
@@ -359,9 +362,9 @@ def test_fixed_locus_relations():
         return (all(gb_got.reduce(p)[1] == 0 for p in want)
                 and all(gb_want.reduce(p)[1] == 0 for p in got))
 
-    tref = trefoil().trace_map.fixed_locus_relations()
+    tref = fixed_locus_relations(trefoil().trace_map)
     assert same_ideal(tref, [x1 - x3, x2 - x3])
-    fig = figure_eight().trace_map.fixed_locus_relations()
+    fig = fixed_locus_relations(figure_eight().trace_map)
     # the locus is x3 = x1 together with x1 + x2 = x1 x2
     assert same_ideal(fig, [x1 - x3, x1 * x2 - x1 - x2])
 
@@ -373,8 +376,7 @@ def test_sampling_needs_a_locus_chart():
 
 
 def test_identity_trace_map_fixes_everything():
-    tm = TraceCoordMap([X1, X2, X3])
-    assert tm.fixed_locus_relations() == []
+    assert fixed_locus_relations(IDENTITY_MAP) == []
 
 
 def test_locus_samples_are_fixed_and_irreducible():
@@ -388,8 +390,8 @@ def _random_word(r, length):
     return Word([(r.randrange(2), r.choice((1, -1))) for _ in range(length)])
 
 
-def test_trace_polynomial_matches_numeric_traces():
-    # Fricke's recursion against matrix products at one fixed SL2(C) pair
+def test_trace_recurrence_matches_numeric_traces():
+    # the trace recurrence against matrix products at one fixed SL2(C) pair
     point = (0.7 + 0.4j, -1.3 + 0.2j, 0.5 - 0.9j)
     A, B = _normal_form_pair(*point)
     images = {0: (A, np.linalg.inv(A)), 1: (B, np.linalg.inv(B))}
@@ -400,25 +402,24 @@ def test_trace_polynomial_matches_numeric_traces():
             m = np.eye(2, dtype=complex)
             for g, e in w:
                 m = m @ images[g][0 if e == 1 else 1]
-            got = trace_polynomial(w)(point)
+            got = TraceCoordMap(w, Word([]))(point)[0]
             assert abs(got - np.trace(m)) <= 1e-9 * max(1.0, abs(np.trace(m)))
-    assert trace_polynomial(Word([])) == {(0, 0, 0): 2}
+    assert polynomials(TraceCoordMap(Word([]), Word([]))) == (2, 2, 2)
 
 
 def test_derived_trace_maps_match_catalog_docstring():
     # the hand-written maps of the catalog docstring
-    assert trefoil().trace_map.polynomials == (X2, X3, X1)
-    assert figure_eight().trace_map.polynomials == FIG8_TRACE_MAP
+    x1, x2, x3 = X
+    assert polynomials(trefoil().trace_map) == (x2, x3, x1)
+    assert polynomials(figure_eight().trace_map) == FIG8_TRACE_MAP
     bare = FiberedKnot("figure_eight", 1, ["a", "b"], {"a": "a b", "b": "b a b"})
     assert bare.trace_map is None
-    assert TraceCoordMap.from_monodromy(bare).polynomials == \
-        figure_eight().trace_map.polynomials
+    assert polynomials(TraceCoordMap.from_monodromy(bare)) == FIG8_TRACE_MAP
 
 
-def test_trace_polynomials_print_and_evaluate_like_sympy():
-    # the values (Jacobian entries included) are bit for bit those of
-    # sympy.lambdify on the same polynomial
-    gens = sympy.symbols("x1 x2 x3")
+def test_trace_recurrence_gradients_are_exact():
+    # on sympy symbols the recurrence's gradient is the derivative of its
+    # value polynomial, and the complex Jacobian is lambdify's to rounding
     r = random.Random(8)
     points = [(complex(0.3, -1.1), complex(-0.0, 2.5), complex(-1.7, 0.0)),
               (complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 1.5)),
@@ -427,12 +428,42 @@ def test_trace_polynomials_print_and_evaluate_like_sympy():
         words = {g: _random_word(r, r.randrange(7)) for g in "ab"}
         tm = TraceCoordMap.from_monodromy(
             FiberedKnot("k", 1, ["a", "b"], words, check_fibered=False))
-        for p in tm.polynomials + tuple(p.diff(j) for p in tm.polynomials
-                                        for j in range(3)):
-            expr = sympy.Poly.from_dict(dict(p) or {(0, 0, 0): 0}, *gens).as_expr()
-            f = sympy.lambdify(gens, expr, "numpy")
-            for pt in points:
-                assert np.complex128(p(pt)).tobytes() == np.complex128(f(*pt)).tobytes()
+        exact = jets(tm)
+        for value, *gradient in exact:
+            assert tuple(gradient) == tuple(sympy.diff(value, x) for x in X)
+        f = sympy.lambdify(X, [list(jet[1:]) for jet in exact], "numpy")
+        for pt in points:
+            want = np.array(f(*pt), dtype=complex)
+            got = tm.jacobian(pt)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _mp_jacobian(tm, point):
+    """The Jacobian by the same recurrence in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        return np.array([[complex(v) for v in jet[1:]]
+                         for jet in tm.jets([mpmath.mpc(z) for z in point])])
+
+
+def test_jacobian_on_long_words_matches_60_digits():
+    # figure_eight^k up to k = 5 (233 letters): no cancellation grows with
+    # the word, as it did when the expanded polynomials were evaluated
+    for k in range(1, 6):
+        tm = TraceCoordMap.from_monodromy(_figure_eight_power(k))
+        for u in (-1.2, -0.7 + 0.5j, 0.6 + 0.3j, 0.3 + 0.7j):
+            point = fig8_locus_point(u)
+            want = _mp_jacobian(tm, point)
+            assert np.abs(tm.jacobian(point) - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_long_word_jacobian_eigenvalues_match_the_cohomology_route():
+    # figure_eight^5 read from a knot file, as compute reads it
+    fk = FiberedKnot.from_json(_figure_eight_power(5).to_json())
+    for u in (-1.2, -0.7 + 0.5j, 0.6 + 0.3j, 0.3 + 0.7j):
+        report = main_theorem_torsion(fk, lift_character_to_rep(fk, fig8_locus_point(u)))
+        scale = max(1.0, max(map(abs, report.eigenvalues)))
+        assert multiset_distance(report.eigenvalues + [1.0],
+                                 report.jacobian_eigenvalues) <= 1e-9 * scale
 
 
 def test_jacobian_torsion_matches_pipeline():
@@ -599,6 +630,21 @@ def test_stacked_lift_edges():
         lift_character_to_rep(granny, (1, 1, 1))
     refused = lift_characters_to_reps(granny, [(1, 1, 1), (0, 0, 0)])
     assert [str(e) for e in refused] == [str(one.value)] * 2
+
+
+def test_overflowing_row_is_refused_alone():
+    # (1e100, 1e100, 1) has a finite commutator trace, but its monodromy
+    # images overflow: that row is refused before the stacked SVD, with no
+    # numpy warning, and the other row keeps its bits
+    fk = figure_eight()
+    good, bad = fig8_locus_point(0.6 + 0.3j), (1e100, 1e100, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lifted = lift_characters_to_reps(fk, [good, bad])
+        assert _outcome(lifted[0]) == _one_point_outcome(fk, good)
+        with pytest.raises(InvalidInputError, match="monodromy images .* not finite"):
+            lift_character_to_rep(fk, bad)
+    assert isinstance(lifted[1], InvalidInputError)
 
 
 def test_intertwiner_systems_are_krons_bits():
@@ -810,16 +856,16 @@ def test_knot_file_trace_map_is_derived_from_the_monodromy():
     text = figure_eight().to_json()
     assert "trace_map" not in json.loads(text)
     loaded = FiberedKnot.from_json(text)
-    assert loaded.trace_map.polynomials == FIG8_TRACE_MAP
+    assert polynomials(loaded.trace_map) == FIG8_TRACE_MAP
     assert loaded.locus_chart is None
     # a given map is ignored, even one that disagrees with the monodromy
     given = dict(json.loads(text), trace_map=["x1", "x2", "x3"])
-    assert FiberedKnot.from_json(json.dumps(given)).trace_map.polynomials == FIG8_TRACE_MAP
+    assert polynomials(FiberedKnot.from_json(json.dumps(given)).trace_map) == FIG8_TRACE_MAP
     # every genus-one file carries its map, and no file of higher genus does
     for words in ({"a": "a B A", "b": "a b"}, {"a": "a b b", "b": "b a"}):
         fk = FiberedKnot("k", 1, ["a", "b"], words)
         loaded = FiberedKnot.from_json(fk.to_json())
-        assert loaded.trace_map.polynomials == TraceCoordMap.from_monodromy(fk).polynomials
+        assert polynomials(loaded.trace_map) == polynomials(TraceCoordMap.from_monodromy(fk))
     granny = FiberedKnot("granny", 2, ["a1", "b1", "a2", "b2"],
                          {"a1": "a1 B1 A1", "b1": "a1 b1", "a2": "a2 B2 A2", "b2": "a2 b2"})
     given = dict(json.loads(granny.to_json()), trace_map=["x1", "x2", "x3"])

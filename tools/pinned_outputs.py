@@ -22,6 +22,22 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 FIG8_FILE = {"name": "figure_eight", "genus": 1, "fiber_generators": ["a", "b"],
              "meridian": "t", "monodromy": {"a": "a b", "b": "b a b"}}
+
+
+def monodromy_power(monodromy, k):
+    """The words of phi^k for a monodromy phi given as word strings in
+    one-letter generators (an uppercase letter is an inverse), by
+    substituting phi into every letter k times."""
+    def image(letter):
+        if letter in monodromy:
+            return monodromy[letter].split()
+        return [x.swapcase() for x in reversed(monodromy[letter.lower()].split())]
+    words = {g: [g] for g in monodromy}
+    for _ in range(k):
+        words = {g: [x for letter in w for x in image(letter)] for g, w in words.items()}
+    return {g: " ".join(w) for g, w in words.items()}
+
+
 # knot files, written as JSON
 KNOT_FILES = {
     "fig8.json": FIG8_FILE,
@@ -29,7 +45,13 @@ KNOT_FILES = {
     "fig8_trace_map.json": dict(FIG8_FILE, trace_map=[
         "x3", "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"]),
     "fig8_unknown_generator.json": dict(FIG8_FILE, monodromy={"a": "a c", "b": "b a b"}),
+    # phi^5, 233 letters in all
+    "fig8_power5.json": dict(FIG8_FILE, name="figure_eight^5",
+                             monodromy=monodromy_power(FIG8_FILE["monodromy"], 5)),
 }
+# the figure-eight locus point (u, u / (u - 1), u) at u = 0.3 + 0.7i, which
+# every power of the monodromy fixes
+FIG8_LOCUS_X = "0.3+0.7j,0.2857142857142857-0.7142857142857143j,0.3+0.7j"
 # files the checkout computes: each script prints one file
 REP_FILE = """
 import json
@@ -116,8 +138,13 @@ CASES = [
     ("compute_knot_file_fig8_trace_map_json",
      ["compute", "--knot-file", "inputs/fig8_trace_map.json", "--x", "3,1.5,3",
       "--format", "json"]),
+    ("compute_knot_file_fig8_power5_json",
+     ["compute", "--knot-file", "inputs/fig8_power5.json", "--x", FIG8_LOCUS_X,
+      "--format", "json"]),
     ("compute_knot_file_unknown_generator",
      ["compute", "--knot-file", "inputs/fig8_unknown_generator.json", "--x", "3,1.5,3"]),
+    # monodromy images that overflow: refused, not a traceback
+    ("compute_fig8_overflow", ["compute", "--knot", "figure_eight", "--x", "1e100,1e100,1"]),
     ("compute_fig8_rep_file",
      ["compute", "--knot", "figure_eight", "--rep-file", "inputs/" + HOLONOMY_REP_FILE]),
     ("compute_knot_file_granny_rep_file",
@@ -128,6 +155,11 @@ for knot, grid in SWEEP_GRIDS:
     for fmt in ("csv", "json"):
         name = re.sub(r"[^\w.-]+", "_", "sweep_%s_%s_%s" % (knot, grid, fmt))
         CASES.append((name, ["sweep", "--knot", knot, "--grid", grid, "--format", fmt]))
+# one row whose monodromy images overflow, alone and with a finite row
+for grid in ("x1=1e100:1e100:1,x2=1e100:1e100:1,x3=1:1:1",
+             "x1=1:1e100:2,x2=1e100:1e100:1,x3=1:1:1"):
+    CASES.append((re.sub(r"[^\w.-]+", "_", "sweep_figure_eight_%s_csv" % grid),
+                  ["sweep", "--knot", "figure_eight", "--grid", grid]))
 for fmt in ("csv", "json"):
     CASES.append(("sweep_knot_file_fig8_raw_tol_" + fmt,
                   ["sweep"] + KNOT_FILE_SWEEP + ["--format", fmt]))
