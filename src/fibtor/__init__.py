@@ -54,6 +54,7 @@ from .fibered import (
     lift_character_to_rep,
     lift_characters_to_reps,
     main_theorem_torsion,
+    main_theorem_torsions,
     sample_fixed_locus,
     torus_closed_form,
     wang_exact_sequence,

@@ -26,6 +26,7 @@ from .fibered import (
     lift_character_to_rep,
     lift_characters_to_reps,
     main_theorem_torsion,
+    main_theorem_torsions,
     TorsionReport,
 )
 from .linalg import RANK_TOL
@@ -234,8 +235,8 @@ def cmd_sweep(args):
             for vals in itertools.product(*(grid[n] for n in names))]
     rows = []
     for start in range(0, len(mesh), SWEEP_STACK_ROWS):
-        # the rows on the locus are lifted as one stack, then each row's
-        # torsion is computed; a refused row keeps the error that refused it
+        # the rows on the locus are lifted as one stack, and their torsion
+        # is computed as one stack; a refused row keeps the error that refused it
         lifting = []
         for params in mesh[start:start + SWEEP_STACK_ROWS]:
             row = {"params": params}
@@ -245,14 +246,18 @@ def cmd_sweep(args):
             except FibtorError as exc:
                 _refuse(row, exc)
         reps = lift_characters_to_reps(fk, [point for _, point in lifting], tol=tol)
+        lifted = []
         for (row, _), rep in zip(lifting, reps):
             if isinstance(rep, FibtorError):
                 _refuse(row, rep)
-                continue
-            try:
-                row["report"] = main_theorem_torsion(fk, rep)
-            except FibtorError as exc:
-                _refuse(row, exc)
+            else:
+                lifted.append((row, rep))
+        reports = main_theorem_torsions(fk, [rep for _, rep in lifted])
+        for (row, _), report in zip(lifted, reports):
+            if isinstance(report, FibtorError):
+                _refuse(row, report)
+            else:
+                row["report"] = report
     failures = sum("error" in r for r in rows)
     text = _render_rows(names, rows, args.format)
     if args.out:

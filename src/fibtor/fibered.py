@@ -36,8 +36,7 @@ from .errors import (
     ReducibleRestrictionError,
     RelatorViolationError,
 )
-from .linalg import (RANK_TOL, UNIT_EIGENVALUE_TOL, _rank, column_space,
-                     orthogonal_complement)
+from .linalg import RANK_TOL, UNIT_EIGENVALUE_TOL, _rank
 from .rep import (
     SL2C,
     SU2,
@@ -221,6 +220,112 @@ class MonodromyAction:
     quotient: np.ndarray
 
 
+# rows of a stacked torsion pass held at once, counted as rows times
+# generators times monodromy letters: a bound on the memory of the Fox/adjoint
+# pass over long monodromy words
+TORSION_STACK_LETTERS = 1 << 14
+
+
+def _action_stacks(fk, reps, out):
+    """The monodromy action on H^1(F; sl2_rho) at every representation in
+    `reps`, computed stacked: `monodromy_action` is the stack of one.
+
+    Each representation that a check refuses gets its FibtorError in
+    `out`; the others come back in groups (rows, full, coboundaries,
+    complement, quotient), each a list of indices into `reps` and four
+    stacks over those rows.  The rows are taken in chunks of at most
+    TORSION_STACK_LETTERS generator-letters; each chunk runs one batched
+    adjoint and SVD for d0 and B^1, one Fox/adjoint pass per monodromy word
+    over the rows' prefix stacks, one Ad(T) product, one B^1-preservation
+    product, one complement SVD and one quotient product.  The rank and
+    residual tests run row by row, under each representation's cutoff, in
+    the order, with the messages and on the bits of a row computed alone.
+    """
+    n = len(fk.fiber_generators)
+    words = [w.letters for w in fk.monodromy_words()]
+    live = []
+    for i, rep in enumerate(reps):
+        if rep.presentation.generators[:n] != fk.fiber_generators:
+            out[i] = InvalidInputError("the representation's first generators must "
+                                       "be the knot's fiber generators")
+        else:
+            live.append(i)
+    step = max(1, TORSION_STACK_LETTERS // (n * sum(len(w) + 1 for w in words)))
+    groups = []
+    for start in range(0, len(live), step):
+        groups += _action_chunk(fk, reps, live[start:start + step], words, out)
+    return groups
+
+
+def _fox_stack(reps, rows, letters, n):
+    """The (n, N, 3, 3) Fox/adjoint blocks of the letters at the rows, from
+    their prefix stacks; one row takes the one-point path."""
+    stacks = [reps[i].prefix_stack(letters) for i in rows]
+    if len(stacks) == 1:
+        return fox_adjoint_blocks(stacks[0], letters, n)[:, None]
+    return fox_adjoint_blocks(np.stack(stacks, 1), letters, n)
+
+
+def _action_chunk(fk, reps, rows, words, out):
+    """`_action_stacks` on one chunk of rows."""
+    n = len(fk.fiber_generators)
+    d0 = coboundary_matrix([reps[i].images[:n] for i in rows])
+    u, svals, _ = np.linalg.svd(d0)
+    kept = []
+    for j, i in enumerate(rows):
+        # B^1 is the column space of d0; its rank is 3 exactly when the
+        # fiber restriction has no Ad-fixed vector (H^0(F) = 0)
+        rank = _rank(svals[j], reps[i].tol)
+        if rank < 3:
+            out[i] = ReducibleRestrictionError(
+                "fiber restriction has an Ad-fixed vector (dim %d); "
+                "the representation is reducible or metabelian" % (3 - rank))
+        else:
+            kept.append(j)
+    rows, (d0, bspace) = _take(rows, kept, d0, u[:, :, :3])
+    if not rows:
+        return []
+    adT = adjoint(np.array([reps[i].image(fk.meridian) for i in rows]))
+    # block (j, i) is Ad(T) Phi(d phi(x_j) / d x_i), at every row
+    blocks = np.array([_fox_stack(reps, rows, w, n) for w in words])
+    blocks = adT[:, None, None] @ blocks.transpose(2, 0, 1, 3, 4)
+    full = blocks.swapaxes(2, 3).reshape(len(rows), 3 * n, 3 * n)
+    image = full @ bspace
+    moved = image - bspace @ (bspace.conj().swapaxes(1, 2) @ image)
+    kept = []
+    for j, i in enumerate(rows):
+        resid = np.linalg.norm(moved[j])
+        if resid > 1e-6 * max(1.0, np.linalg.norm(full[j])):
+            out[i] = RelatorViolationError(
+                "monodromy action does not preserve the coboundary space "
+                "(residual %.3e); the representation violates the mapping-torus "
+                "relators" % resid)
+        else:
+            kept.append(j)
+    rows, (d0, bspace, full) = _take(rows, kept, d0, bspace, full)
+    if not rows:
+        return []
+    # the quotient is modelled on the orthogonal complement of B^1; the
+    # induced eigenvalues do not depend on that choice
+    u, svals, _ = np.linalg.svd(bspace)
+    ranks = [_rank(s, reps[i].tol) for s, i in zip(svals, rows)]
+    groups = []
+    for rank in set(ranks):
+        group, (group_full, group_d0, comp) = _take(
+            rows, [j for j, r in enumerate(ranks) if r == rank], full, d0, u[:, :, rank:])
+        groups.append((group, group_full, group_d0, comp,
+                       comp.conj().swapaxes(1, 2) @ group_full @ comp))
+    return groups
+
+
+def _take(rows, kept, *stacks):
+    """The rows at the positions `kept`, and each stack at them; the stacks
+    themselves when every row is kept."""
+    if len(kept) == len(rows):
+        return rows, stacks
+    return [rows[j] for j in kept], [s[kept] for s in stacks]
+
+
 def monodromy_action(fk, rep):
     """Compute the action of the monodromy on H^1(F; sl2_phi).
 
@@ -237,33 +342,12 @@ def monodromy_action(fk, rep):
     returned with its scaffolding.  The quotient is modelled on the
     orthogonal complement of B^1; the induced eigenvalues do not depend on
     that choice.  Ranks are decided under the representation's cutoff.
+    This is the stack of one of `_action_stacks`.
     """
-    n = len(fk.fiber_generators)
-    if rep.presentation.generators[:n] != fk.fiber_generators:
-        raise InvalidInputError("the representation's first generators must be "
-                                "the knot's fiber generators")
-    d0 = coboundary_matrix(rep.images[:n])
-    bspace = column_space(d0, rep.tol)
-    if bspace.shape[1] < 3:
-        raise ReducibleRestrictionError(
-            "fiber restriction has an Ad-fixed vector (dim %d); "
-            "the representation is reducible or metabelian" % (3 - bspace.shape[1]))
-    T = rep.image(fk.meridian)
-    adT = adjoint(T)
-    # block (j, i) is Ad(T) Phi(d phi(x_j) / d x_i)
-    blocks = adT @ np.array([fox_adjoint_blocks(rep, w)[:n]
-                             for w in fk.monodromy_words()])
-    full = blocks.swapaxes(1, 2).reshape(3 * n, 3 * n)
-    image = full @ bspace
-    resid = np.linalg.norm(image - bspace @ (bspace.conj().T @ image))
-    if resid > 1e-6 * max(1.0, np.linalg.norm(full)):
-        raise RelatorViolationError(
-            "monodromy action does not preserve the coboundary space "
-            "(residual %.3e); the representation violates the mapping-torus "
-            "relators" % resid)
-    comp = orthogonal_complement(bspace, rep.tol)
-    quotient = comp.conj().T @ full @ comp
-    return MonodromyAction(full, d0, comp, quotient)
+    out = [None]
+    for _, full, d0, comp, quotient in _action_stacks(fk, [rep], out):
+        return MonodromyAction(full[0], d0[0], comp[0], quotient[0])
+    raise out[0]
 
 
 def _unit_eigenvalue(evs):
@@ -283,14 +367,19 @@ def _unit_eigenvalue(evs):
     return near[0]
 
 
-def eigenvalues_excluding_one(m):
-    """Eigenvalues of `m` with the (required, simple) unit eigenvalue removed,
-    sorted by (real, imaginary)."""
-    evs = np.linalg.eigvals(np.asarray(m, dtype=complex))
+def _excluding_one(evs):
+    """The eigenvalues `evs` with the (required, simple) unit eigenvalue
+    removed, sorted by (real, imaginary)."""
     unit = _unit_eigenvalue(evs)
     rest = [complex(evs[k]) for k in range(len(evs)) if k != unit]
     rest.sort(key=lambda z: (z.real, z.imag))
     return rest
+
+
+def eigenvalues_excluding_one(m):
+    """Eigenvalues of `m` with the (required, simple) unit eigenvalue removed,
+    sorted by (real, imaginary)."""
+    return _excluding_one(np.linalg.eigvals(np.asarray(m, dtype=complex)))
 
 
 @dataclass
@@ -330,15 +419,44 @@ class TorsionReport:
         return out
 
 
-def _report(fk, m, method):
+def _report(fk, lams, method):
     """The report of T = -eps0 * prod 1/(1 - lambda_i) over the eigenvalues
-    of `m` other than its unit eigenvalue."""
-    lams = eigenvalues_excluding_one(m)
+    `lams` other than the unit eigenvalue."""
     eps0 = epsilon0(fk)
     value = -eps0 * np.prod([1.0 / (1.0 - lam) for lam in lams])
     return TorsionReport(
         torsion=complex(value), epsilon0=eps0, eigenvalues=lams, method=method,
         knot=fk.name)
+
+
+def main_theorem_torsions(fk, reps):
+    """`main_theorem_torsion` at every representation in `reps`: per
+    representation, its TorsionReport or the FibtorError that refused it.
+
+    The monodromy actions are computed stacked (`_action_stacks`), and the
+    eigenvalues of each stack of quotients come from one batched call.  The
+    unit-eigenvalue test, the product, the character and the Jacobian
+    cross-check run row by row, with the messages and on the bits of
+    `main_theorem_torsion`, which is the stack of one.  Errors are kept
+    without their tracebacks, whose frames would hold the whole stack.
+    """
+    out = [None] * len(reps)
+    for rows, _, _, _, quotient in _action_stacks(fk, reps, out):
+        evs = np.linalg.eigvals(quotient)
+        for j, i in enumerate(rows):
+            try:
+                out[i] = _report(fk, _excluding_one(evs[j]), "cohomology")
+            except FibtorError as exc:
+                out[i] = exc.with_traceback(None)
+                continue
+            if fk.genus == 1:
+                point = fk.character_of(reps[i])
+                out[i].character = point
+                if fk.trace_map is not None:
+                    jevs = np.linalg.eigvals(fk.trace_map.jacobian(point))
+                    out[i].jacobian_eigenvalues = sorted(
+                        (complex(z) for z in jevs), key=lambda z: (z.real, z.imag))
+    return out
 
 
 def main_theorem_torsion(fk, rep):
@@ -349,15 +467,11 @@ def main_theorem_torsion(fk, rep):
     of the action on H^1(F).  For genus-one knots carrying a trace-coordinate
     map, the report also carries the eigenvalues of the trace-map
     Jacobian at the representation's character as an independent cross-check.
+    This is the stack of one of `main_theorem_torsions`.
     """
-    report = _report(fk, monodromy_action(fk, rep).quotient, "cohomology")
-    if fk.genus == 1:
-        point = fk.character_of(rep)
-        report.character = point
-        if fk.trace_map is not None:
-            jevs = np.linalg.eigvals(fk.trace_map.jacobian(point))
-            report.jacobian_eigenvalues = sorted(
-                (complex(z) for z in jevs), key=lambda z: (z.real, z.imag))
+    (report,) = main_theorem_torsions(fk, [rep])
+    if isinstance(report, FibtorError):
+        raise report
     return report
 
 
@@ -365,7 +479,8 @@ def jacobian_torsion(fk, point):
     """Torsion at a genus-one character point via the trace-map Jacobian only."""
     if fk.trace_map is None:
         raise InvalidInputError("knot %r carries no trace-coordinate map" % fk.name)
-    report = _report(fk, fk.trace_map.jacobian(point), "jacobian")
+    report = _report(fk, eigenvalues_excluding_one(fk.trace_map.jacobian(point)),
+                     "jacobian")
     report.character = tuple(map(complex, point))
     return report
 

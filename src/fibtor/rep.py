@@ -207,38 +207,40 @@ class Representation:
 def coboundary_matrix(images):
     """The coboundary d0(v) = (Ad_g v - v)_g of the adjoint-twisted complex:
     a (3n, 3) matrix of one Ad(g) - I block per image g, in (H, E, F)
-    coordinates.  Its kernel is the common Ad-fixed subspace, H^0 of the
+    coordinates, or an (N, 3n, 3) stack of them for an (N, n, 2, 2) stack
+    of images.  Its kernel is the common Ad-fixed subspace, H^0 of the
     group the images generate; its column space is B^1.
     """
-    return (adjoint(images) - np.eye(3)).reshape(-1, 3)
+    images = np.asarray(images, dtype=complex)
+    return (adjoint(images) - np.eye(3)).reshape(images.shape[:-3] + (-1, 3))
 
 
-def fox_adjoint_blocks(rep, word):
-    """All Fox/adjoint blocks of a word: an (n, 3, 3) array whose i-th entry
-    is Phi(d word / d g_i), for the n generators of the presentation.
+def fox_adjoint_blocks(stack, letters, n):
+    """All Fox/adjoint blocks of a freely reduced word over n generators,
+    from its prefix stack (`prefix_products` of the letters) at one point or
+    at N points: an (n, 3, 3) array whose i-th entry is Phi(d word / d g_i),
+    or (n, N, 3, 3) for an (L + 1, N, 2, 2) stack.
 
-    The prefixes come from the representation's prefix stack of the freely
-    reduced word: a letter g contributes +Ad of the prefix before it, a
-    letter g^-1 contributes -Ad of the prefix after it.  The adjoints of all
-    these prefixes are formed in one batched step and summed into each block
-    in word order.  This repeats the arithmetic of
+    A letter g contributes +Ad of the prefix before it, a letter g^-1
+    contributes -Ad of the prefix after it.  The adjoints of all these
+    prefixes are formed in one batched step and summed into each block in
+    word order.  This repeats the arithmetic of
     `rep.evaluate_group_ring(fox_derivative(word, i))` bit for bit: the
     prefixes of a reduced word are reduced and are built by the same
     left-to-right products as `evaluate_word`, and the group-ring terms are
     sorted in word order.  The cost is linear in the word length.
     """
-    letters = word.reduce().letters
-    n = rep.presentation.generator_count
+    points = np.shape(stack)[1:-2]
     if not letters:
-        return np.zeros((n, 3, 3), dtype=complex)
+        return np.zeros((n,) + points + (3, 3), dtype=complex)
     gens, exps = np.array(letters).T
-    stack = rep.prefix_stack(letters)
-    terms = adjoint(stack[np.arange(len(letters)) + (exps == -1)])
-    np.negative(terms, out=terms, where=(exps == -1)[:, None, None])
+    inverse = exps == -1
+    terms = adjoint(stack[np.arange(len(letters)) + inverse])
+    np.negative(terms, out=terms, where=inverse.reshape((-1,) + (1,) * (terms.ndim - 1)))
     # row i holds generator i's terms in word order and +0.0 elsewhere; its
     # running sum starts at +0.0, so the zeros change no bit and the result
     # is evaluate_group_ring's accumulation exactly
-    spread = np.zeros((n, len(letters) + 1, 3, 3), dtype=complex)
+    spread = np.zeros((n, len(letters) + 1) + terms.shape[1:], dtype=complex)
     spread[gens, np.arange(1, len(letters) + 1)] = terms
     return np.cumsum(spread, axis=1)[:, -1]
 
@@ -263,7 +265,8 @@ def twisted_cochain_complex(rep):
     nr = len(presentation.relators)
     d0 = coboundary_matrix(rep.images)
     # block (k, i) is Phi(d r_k / d g_i)
-    blocks = np.array([fox_adjoint_blocks(rep, r) for r in presentation.relators])
+    words = [r.reduce().letters for r in presentation.relators]
+    blocks = np.array([fox_adjoint_blocks(rep.prefix_stack(w), w, ng) for w in words])
     d1 = blocks.reshape(nr, ng, 3, 3).swapaxes(1, 2).reshape(3 * nr, 3 * ng)
     return BasedChainComplex([3, 3 * ng, 3 * nr], [d0, d1],
                              direction="cochain", tol=rep.tol)

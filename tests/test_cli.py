@@ -83,6 +83,21 @@ def test_compute_takes_one_representation_source(capsys, args):
     assert "not allowed with argument" in err
 
 
+def test_negative_x_needs_the_equals_form(capsys):
+    # argparse reads "-0.5,..." after a space as an option, not as the value
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--knot", "trefoil", "--x", "-0.5,-0.5,-0.5"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "argument --x: expected one argument" in err
+    out, _ = run(capsys, "compute", "--knot", "trefoil", "--x=-0.5,-0.5,-0.5",
+                 "--format", "json")
+    report = json.loads(out)
+    assert np.allclose([complex(*z) for z in report["character"]], -0.5, atol=1e-12)
+    assert abs(report["torsion_re"] + 1.0 / 3.0) < 1e-9
+
+
 def test_compute_reducible_character_fails_with_code(capsys):
     _, err = run(capsys, "compute", "--knot", "figure_eight", "--x", "2,2,2", expect=1)
     assert "REDUCIBLE_CHARACTER" in err

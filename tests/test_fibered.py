@@ -36,6 +36,7 @@ from fibtor import (
     lift_character_to_rep,
     lift_characters_to_reps,
     main_theorem_torsion,
+    main_theorem_torsions,
     multiplicativity_check,
     torus_closed_form,
     trefoil,
@@ -632,6 +633,81 @@ def test_stacked_lift_edges():
     assert [str(e) for e in refused] == [str(one.value)] * 2
 
 
+def _torsion_outcome(result):
+    """What a torsion call gave, in bytes and strings: the error's type and
+    message, or the report's values."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return (np.complex128(result.torsion).tobytes(), result.epsilon0, result.method,
+            np.array(result.eigenvalues, dtype=complex).tobytes(),
+            None if result.jacobian_eigenvalues is None
+            else np.array(result.jacobian_eigenvalues, dtype=complex).tobytes(),
+            None if result.character is None
+            else np.array(result.character, dtype=complex).tobytes())
+
+
+def _one_rep_torsion(fk, rep):
+    try:
+        return _torsion_outcome(main_theorem_torsion(fk, rep))
+    except FibtorError as exc:
+        return _torsion_outcome(exc)
+
+
+def _mixed_torsion_cases():
+    """(home knot, error code or "ok", representation) on the trefoil, the
+    figure-eight and figure_eight^5, with every refusal of the torsion half."""
+    tref, fig8, fig8_5 = trefoil(), figure_eight(), _figure_eight_power(5)
+    cases = [(tref, "ok", r) for r in lift_characters_to_reps(
+        tref, [(x, x, x) for x in (0.4, 1.5, 2.5 + 0.5j)])]
+    fig8_reps = lift_characters_to_reps(fig8, [fig8_locus_point(u)
+                                               for u in (0.5, -1.2, 0.6 + 0.3j)])
+    cases += [(fig8, "ok", r) for r in fig8_reps]
+    cases.append((fig8_5, "ok", lift_character_to_rep(fig8_5, fig8_locus_point(-1.2))))
+    # the fiber restriction has an Ad-fixed vector under the rank cutoff 0.1
+    cases += [(tref, "REDUCIBLE_RESTRICTION", r) for r in lift_characters_to_reps(
+        tref, [(x, x, x) for x in (-2.0, 2.8, 3.0)], tol=0.1)]
+    # closest eigenvalue 1.759e-05 from 1
+    cases.append((fig8, "NO_UNIT_EIGENVALUE", lift_character_to_rep(
+        fig8, fig8_locus_point(0.75 + 0.9682458365518543j))))
+    # a meridian image that breaks the relators: B^1 is not preserved
+    lifted = fig8_reps[0]
+    cases.append((fig8, "RELATOR_VIOLATION", Representation(
+        fig8.presentation(), [lifted.image("a"), lifted.image("b"), np.eye(2)],
+        check=False)))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [fibered_module.TORSION_STACK_LETTERS, 1, 40])
+def test_stacked_torsion_matches_the_stack_of_one(monkeypatch, budget):
+    # every representation under every knot, its own and the others: the
+    # stacked call gives each one the report bytes or the error that it
+    # gives alone, in chunks of every size
+    monkeypatch.setattr(fibered_module, "TORSION_STACK_LETTERS", budget)
+    cases = _mixed_torsion_cases()
+    reps = [rep for _, _, rep in cases]
+    for fk in {id(fk): fk for fk, _, _ in cases}.values():
+        stacked = main_theorem_torsions(fk, reps)
+        assert len(stacked) == len(reps)
+        for (home, code, rep), result in zip(cases, stacked):
+            assert _torsion_outcome(result) == _one_rep_torsion(fk, rep)
+            if home is fk:
+                assert (result.code if isinstance(result, FibtorError) else "ok") == code
+    far = [rep for _, code, rep in cases if code == "NO_UNIT_EIGENVALUE"]
+    assert "closest: 1.759e-05" in str(main_theorem_torsions(figure_eight(), far)[0])
+
+
+def test_stacked_torsion_edges():
+    fk = figure_eight()
+    assert main_theorem_torsions(fk, []) == []
+    cases = _mixed_torsion_cases()
+    reps = [rep for _, _, rep in cases]
+    order = np.random.default_rng(3).permutation(len(reps))
+    straight = main_theorem_torsions(fk, reps)
+    permuted = main_theorem_torsions(fk, [reps[k] for k in order])
+    assert ([_torsion_outcome(r) for r in permuted]
+            == [_torsion_outcome(straight[k]) for k in order])
+
+
 def test_overflowing_row_is_refused_alone():
     # (1e100, 1e100, 1) has a finite commutator trace, but its monodromy
     # images overflow: that row is refused before the stacked SVD, with no
@@ -809,16 +885,18 @@ def test_block_matrices_place_each_fox_block():
              granny]
     for fk, rep in cases:
         n = len(fk.fiber_generators)
+        ng = rep.presentation.generator_count
         full = monodromy_action(fk, rep).full
         adT = rep_module.adjoint(rep.image(fk.meridian))
         for j, w in enumerate(fk.monodromy_words()):
-            for i, blk in enumerate(rep_module.fox_adjoint_blocks(rep, w)[:n]):
+            blocks = rep_module.fox_adjoint_blocks(rep.prefix_stack(w.letters), w.letters, ng)
+            for i, blk in enumerate(blocks[:n]):
                 assert full[3 * j:3 * j + 3, 3 * i:3 * i + 3].tobytes() == (adT @ blk).tobytes()
         d1 = twisted_cochain_complex(rep).boundaries[1]
-        ng = rep.presentation.generator_count
         assert d1.shape == (3 * len(rep.presentation.relators), 3 * ng)
         for k, r in enumerate(rep.presentation.relators):
-            for i, blk in enumerate(rep_module.fox_adjoint_blocks(rep, r)):
+            blocks = rep_module.fox_adjoint_blocks(rep.prefix_stack(r.letters), r.letters, ng)
+            for i, blk in enumerate(blocks):
                 assert d1[3 * k:3 * k + 3, 3 * i:3 * i + 3].tobytes() == blk.tobytes()
     # a presentation without relators gives an empty d1 with one column per
     # generator coordinate

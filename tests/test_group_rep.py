@@ -203,6 +203,13 @@ def _pad_with_cancelling_pairs(gen, word, n, count):
     return Word(letters)
 
 
+def _fox_blocks(rep, word):
+    """The Fox/adjoint blocks of a word from the representation's prefix stack."""
+    letters = word.reduce().letters
+    return fox_adjoint_blocks(rep.prefix_stack(letters), letters,
+                              rep.presentation.generator_count)
+
+
 def test_fox_adjoint_blocks_equal_group_ring_path():
     # the prefix stack is the one kernel behind the Fox blocks, the relator
     # check and the lift; evaluate_word's @ loop is its reference, compared
@@ -214,7 +221,7 @@ def test_fox_adjoint_blocks_equal_group_ring_path():
             rep = Representation(pres, _random_images(gen, n, flavor), flavor=flavor)
             for length in list(range(9)) + [17, 64, 150, 300]:
                 w = _random_reduced_word(gen, n, length)
-                blocks = fox_adjoint_blocks(rep, w)
+                blocks = _fox_blocks(rep, w)
                 assert blocks.shape == (n, 3, 3)
                 for i in range(n):
                     assert np.array_equal(
@@ -257,15 +264,32 @@ def test_fox_adjoint_blocks_empty_word_and_cancelling_pairs():
     gen = np.random.default_rng(32)
     pres = GroupPresentation(["a", "b", "t"], [])
     rep = Representation(pres, _random_images(gen, 3, SL2C))
-    assert np.array_equal(fox_adjoint_blocks(rep, Word()), np.zeros((3, 3, 3)))
+    assert np.array_equal(_fox_blocks(rep, Word()), np.zeros((3, 3, 3)))
     for _ in range(10):
         padded = _pad_with_cancelling_pairs(gen, _random_reduced_word(gen, 3, 40), 3, 8)
-        blocks = fox_adjoint_blocks(rep, padded.reduce())
+        blocks = _fox_blocks(rep, padded.reduce())
         # the group-ring normal form of d(padded)/dg is that of the reduced
         # word, so the sums agree exactly, not just to rounding
         for i in range(3):
             assert np.array_equal(
                 blocks[i], rep.evaluate_group_ring(fox_derivative(padded, i)))
+
+
+def test_fox_adjoint_blocks_stacked_match_each_point():
+    # at N points the blocks come out as (n, N, 3, 3); at every point they
+    # are the one-point blocks, compared by bytes
+    gen = np.random.default_rng(34)
+    pres = GroupPresentation(["a", "b", "t"], [])
+    reps = [Representation(pres, _random_images(gen, 3, SL2C)) for _ in range(4)]
+    images = [np.array([r.images[g] for r in reps]) for g in range(3)]
+    inverses = [sl2_inverse(m) for m in images]
+    for length in (0, 1, 5, 60):
+        letters = _random_reduced_word(gen, 3, length).letters
+        stacked = fox_adjoint_blocks(prefix_products(images, inverses, letters), letters, 3)
+        assert stacked.shape == (3, 4, 3, 3)
+        for j, rep in enumerate(reps):
+            alone = fox_adjoint_blocks(rep.prefix_stack(letters), letters, 3)
+            assert stacked[:, j].tobytes() == alone.tobytes()
 
 
 # -- adjoint and Killing form --------------------------------------------------------

@@ -163,6 +163,12 @@ for grid in ("x1=1e100:1e100:1,x2=1e100:1e100:1,x3=1:1:1",
 for fmt in ("csv", "json"):
     CASES.append(("sweep_knot_file_fig8_raw_tol_" + fmt,
                   ["sweep"] + KNOT_FILE_SWEEP + ["--format", fmt]))
+    # rows refused in the torsion half: under the rank cutoff 0.1 three rows
+    # have an Ad-fixed vector on the fiber (REDUCIBLE_RESTRICTION), next to
+    # two REDUCIBLE_CHARACTER rows and computed rows
+    CASES.append(("sweep_trefoil_x_-2_3_26_tol_0.1_" + fmt,
+                  ["sweep", "--knot", "trefoil", "--grid", "x=-2:3:26", "--tol", "0.1",
+                   "--format", fmt]))
 # 523000: a seed of the size the verify benchmark draws (a multiple of 1000)
 for seed in (0, 1, 2, 3, 523000):
     CASES.append(("verify_seed%d" % seed, ["verify", "--seed", str(seed)]))
