@@ -55,6 +55,7 @@ from .fibered import (
     lift_characters_to_reps,
     main_theorem_torsion,
     main_theorem_torsions,
+    monodromy_actions,
     sample_fixed_locus,
     torus_closed_form,
     wang_exact_sequence,

@@ -228,7 +228,8 @@ TORSION_STACK_LETTERS = 1 << 14
 
 def _action_stacks(fk, reps, out):
     """The monodromy action on H^1(F; sl2_rho) at every representation in
-    `reps`, computed stacked: `monodromy_action` is the stack of one.
+    `reps`, computed stacked: the core of `monodromy_actions` and
+    `main_theorem_torsions`.
 
     Each representation that a check refuses gets its FibtorError in
     `out`; the others come back in groups (rows, full, coboundaries,
@@ -326,6 +327,19 @@ def _take(rows, kept, *stacks):
     return [rows[j] for j in kept], [s[kept] for s in stacks]
 
 
+def monodromy_actions(fk, reps):
+    """`monodromy_action` at every representation in `reps`: per
+    representation, its MonodromyAction or the FibtorError that refused it,
+    computed stacked by `_action_stacks`.  The errors are made there and
+    never raised, so they carry no traceback to hold the stack.
+    """
+    out = [None] * len(reps)
+    for rows, full, d0, comp, quotient in _action_stacks(fk, reps, out):
+        for j, i in enumerate(rows):
+            out[i] = MonodromyAction(full[j], d0[j], comp[j], quotient[j])
+    return out
+
+
 def monodromy_action(fk, rep):
     """Compute the action of the monodromy on H^1(F; sl2_phi).
 
@@ -342,12 +356,12 @@ def monodromy_action(fk, rep):
     returned with its scaffolding.  The quotient is modelled on the
     orthogonal complement of B^1; the induced eigenvalues do not depend on
     that choice.  Ranks are decided under the representation's cutoff.
-    This is the stack of one of `_action_stacks`.
+    This is the stack of one of `monodromy_actions`.
     """
-    out = [None]
-    for _, full, d0, comp, quotient in _action_stacks(fk, [rep], out):
-        return MonodromyAction(full[0], d0[0], comp[0], quotient[0])
-    raise out[0]
+    (action,) = monodromy_actions(fk, [rep])
+    if isinstance(action, FibtorError):
+        raise action
+    return action
 
 
 def _unit_eigenvalue(evs):

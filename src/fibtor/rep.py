@@ -13,6 +13,8 @@ coefficient basis scales the torsion of the exterior by its determinant to the
 power of the Euler characteristic, which is 0.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import RelatorViolationError
@@ -215,6 +217,19 @@ def coboundary_matrix(images):
     return (adjoint(images) - np.eye(3)).reshape(images.shape[:-3] + (-1, 3))
 
 
+@functools.lru_cache(maxsize=256)
+def _letter_arrays(letters):
+    """The generator indices of a word's letters, the mask of its inverse
+    letters, and the prefix each letter's Fox term is taken at: read-only
+    arrays, built once per word since a knot's words never change."""
+    gens, exps = np.array(letters).T
+    inverse = exps == -1
+    arrays = gens, inverse, np.arange(len(letters)) + inverse
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def fox_adjoint_blocks(stack, letters, n):
     """All Fox/adjoint blocks of a freely reduced word over n generators,
     from its prefix stack (`prefix_products` of the letters) at one point or
@@ -233,9 +248,8 @@ def fox_adjoint_blocks(stack, letters, n):
     points = np.shape(stack)[1:-2]
     if not letters:
         return np.zeros((n,) + points + (3, 3), dtype=complex)
-    gens, exps = np.array(letters).T
-    inverse = exps == -1
-    terms = adjoint(stack[np.arange(len(letters)) + inverse])
+    gens, inverse, prefixes = _letter_arrays(letters)
+    terms = adjoint(stack[prefixes])
     np.negative(terms, out=terms, where=inverse.reshape((-1,) + (1,) * (terms.ndim - 1)))
     # row i holds generator i's terms in word order and +0.0 elsewhere; its
     # running sum starts at +0.0, so the zeros change no bit and the result

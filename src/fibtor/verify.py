@@ -12,11 +12,13 @@ import time
 import numpy as np
 
 from .catalog import figure_eight, holonomy_representation, trefoil
+from .errors import FibtorError
 from .fibered import (
     epsilon0,
-    lift_character_to_rep,
+    lift_characters_to_reps,
     main_theorem_torsion,
-    monodromy_action,
+    main_theorem_torsions,
+    monodromy_actions,
     random_conjugate,
     sample_fixed_locus,
     torus_closed_form,
@@ -81,8 +83,9 @@ def _build_based_complex(draw):
         hb.append(z)
     # random changes of basis
     mats = [invertible_from(c) for c in changes]
-    nds = [np.linalg.inv(mats[i - 1]) @ ds[i - 1] @ mats[i] for i in range(1, n + 1)]
-    nhb = [np.linalg.inv(mats[i]) @ hb[i] for i in range(n + 1)]
+    invs = [np.linalg.inv(m) for m in mats]
+    nds = [invs[i - 1] @ ds[i - 1] @ mats[i] for i in range(1, n + 1)]
+    nhb = [invs[i] @ hb[i] for i in range(n + 1)]
     return BasedChainComplex(dims, nds, direction="chain", homology_bases=nhb)
 
 
@@ -129,17 +132,26 @@ def random_block_sum_ses(rng):
 # -- representation samplers ----------------------------------------------------
 
 
+def _each(results):
+    """The results of a stacked call in order, raising each refusal where
+    a loop over the points one at a time would have raised it."""
+    for result in results:
+        if isinstance(result, FibtorError):
+            raise result
+        yield result
+
+
 def _trefoil_su2_samples(count, rng):
     fk = trefoil()
     pts = sample_fixed_locus(fk, count, rng, kind="su2")
-    return fk, [lift_character_to_rep(fk, pt, flavor=SU2) for pt in pts]
+    return fk, list(_each(lift_characters_to_reps(fk, pts, flavor=SU2)))
 
 
 def _fig8_samples(count, rng):
     fk = figure_eight()
     pts = (sample_fixed_locus(fk, (count + 1) // 2, rng, kind="real")
            + sample_fixed_locus(fk, count // 2, rng))
-    return fk, pts, [lift_character_to_rep(fk, pt) for pt in pts]
+    return fk, pts, list(_each(lift_characters_to_reps(fk, pts)))
 
 
 def _random_hyperbolic_torus_rep(rng, pres):
@@ -172,13 +184,13 @@ def check_torsion_core_basis_change(rng, perturb=False):
         t0 = torsion(cx)
         n = cx.top_degree
         mats = [random_invertible(rng, m) for m in cx.dims]
-        nds = [np.linalg.inv(mats[i - 1]) @ cx.boundaries[i - 1] @ mats[i]
-               for i in range(1, n + 1)]
+        invs = [np.linalg.inv(m) for m in mats]
+        nds = [invs[i - 1] @ cx.boundaries[i - 1] @ mats[i] for i in range(1, n + 1)]
         expected_ratio = 1.0 + 0j
         nhb = []
         for i in range(n + 1):
             h = cx.homology_bases[i]
-            nh = np.linalg.inv(mats[i]) @ h
+            nh = invs[i] @ h
             k = h.shape[1]
             if k:
                 q = random_invertible(rng, k)
@@ -257,8 +269,8 @@ def check_trefoil_third(rng, perturb=False):
     start = time.monotonic()
     fk, reps = _trefoil_su2_samples(20, rng)
     worst = 0.0
-    for rep in reps:
-        value = main_theorem_torsion(fk, rep).torsion
+    for report in _each(main_theorem_torsions(fk, reps)):
+        value = report.torsion
         if perturb:
             value += 1e-3
         worst = max(worst, abs(value - (-1.0 / 3.0)))
@@ -272,8 +284,7 @@ def check_trefoil_eigenvalues(rng, perturb=False):
     fk, reps = _trefoil_su2_samples(20, rng)
     expected = [1.0, cmath.exp(2j * cmath.pi / 3), cmath.exp(-2j * cmath.pi / 3)]
     worst = 0.0
-    for rep in reps:
-        act = monodromy_action(fk, rep)
+    for act in _each(monodromy_actions(fk, reps)):
         evs = np.linalg.eigvals(act.quotient)
         worst = max(worst, multiset_distance(evs, expected))
     return worst <= 1e-8, "max eigenvalue deviation %.2e over 20 reps" % worst
@@ -295,8 +306,8 @@ def check_fig8_locus_formula(rng, perturb=False):
     I_gamma = x1^2 + x2^2 - x1 - x2 - 2."""
     fk, pts, reps = _fig8_samples(20, rng)
     worst_f = worst_sq = 0.0
-    for pt, rep in zip(pts, reps):
-        value = main_theorem_torsion(fk, rep).torsion
+    for pt, report in zip(pts, _each(main_theorem_torsions(fk, reps))):
+        value = report.torsion
         s = pt[0] + pt[1]
         worst_f = max(worst_f, abs(value - 1.0 / (3.0 - 2.0 * s)))
         igamma = pt[0] ** 2 + pt[1] ** 2 - pt[0] - pt[1] - 2.0
@@ -359,8 +370,7 @@ def check_wang_identities(rng, perturb=False):
     fk_f, _, reps_f = _fig8_samples(4, rng)
     for fk, reps in ((fk_t, reps_t), (fk_f, reps_f)):
         e0 = epsilon0(fk)
-        for rep in reps:
-            report = main_theorem_torsion(fk, rep)
+        for rep, report in zip(reps, _each(main_theorem_torsions(fk, reps))):
             wang = wang_sequence_torsion(fk, rep)
             direct = np.prod([1.0 - lam for lam in report.eigenvalues])
             worst_prod = max(worst_prod, abs(wang - direct))
@@ -387,13 +397,12 @@ def check_dual_oracle(rng, perturb=False):
     fk_t, reps_t = _trefoil_su2_samples(6, rng)
     fk_f, _, reps_f = _fig8_samples(14, rng)
     for fk, reps in ((fk_t, reps_t), (fk_f, reps_f)):
-        for rep in reps:
-            jac = np.linalg.eigvals(fk.trace_map.jacobian(fk.character_of(rep)))
-            if _min_pairwise_gap(jac) < 1e-3:
-                continue
-            act = monodromy_action(fk, rep)
+        jacs = [np.linalg.eigvals(fk.trace_map.jacobian(fk.character_of(rep)))
+                for rep in reps]
+        kept = [k for k, jac in enumerate(jacs) if _min_pairwise_gap(jac) >= 1e-3]
+        for k, act in zip(kept, _each(monodromy_actions(fk, [reps[k] for k in kept]))):
             coh = np.linalg.eigvals(act.quotient)
-            worst = max(worst, multiset_distance(coh, jac))
+            worst = max(worst, multiset_distance(coh, jacs[k]))
             count += 1
     return (worst <= 1e-8 and count >= 12,
             "max multiset distance %.2e over %d samples" % (worst, count))
@@ -411,13 +420,17 @@ def check_conjugation_invariance(rng, perturb=False):
     worst = 0.0
     fk_t, reps_t = _trefoil_su2_samples(3, rng)
     fk_f, _, reps_f = _fig8_samples(3, rng)
-    for fk, reps in ((fk_t, reps_t), (fk_f, reps_f)):
-        for rep in reps:
-            base = main_theorem_torsion(fk, rep).torsion
-            for _ in range(10):
-                conj = random_conjugate(rep, rng)
-                value = main_theorem_torsion(fk, conj).torsion
-                worst = max(worst, abs(value - base))
+    # every conjugate is drawn first, in the order of a rep-by-rep loop; each
+    # knot's reps and their conjugates then make one stack
+    drawn = [(fk, [[rep] + [random_conjugate(rep, rng) for _ in range(10)]
+                   for rep in reps])
+             for fk, reps in ((fk_t, reps_t), (fk_f, reps_f))]
+    for fk, families in drawn:
+        reports = _each(main_theorem_torsions(fk, sum(families, [])))
+        for family in families:
+            base = next(reports).torsion
+            for _ in family[1:]:
+                worst = max(worst, abs(next(reports).torsion - base))
     return worst <= 1e-8, "max |T(g rho g^-1) - T(rho)| = %.2e" % worst
 
 

@@ -47,3 +47,14 @@ def test_verify_workload_accepts_the_deliberate_red(worker, seed):
     i = worker.VERIFY_CHECKS.index(worker.DELIBERATE_RED)
     results = verify.run_checks(name_filter=worker.DELIBERATE_RED, seed=seed)
     assert workload.check(i, results)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_a_verify_workload_pass_meets_its_oracle(worker, seed):
+    # one pass over the 13 checks at a check seed the benchmark draws
+    # (randrange(2^20) * 1000), as `bench/run.py --workload verify --seed N`
+    # does: every op's output passes the worker's oracle, the deliberate red
+    # included
+    workload = worker.Verify(random.Random(seed))
+    for i in range(workload.cycle):
+        assert workload.check(i, workload.op(i)), workload.op(i)

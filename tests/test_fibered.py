@@ -37,6 +37,7 @@ from fibtor import (
     lift_characters_to_reps,
     main_theorem_torsion,
     main_theorem_torsions,
+    monodromy_actions,
     multiplicativity_check,
     torus_closed_form,
     trefoil,
@@ -653,6 +654,22 @@ def _one_rep_torsion(fk, rep):
         return _torsion_outcome(exc)
 
 
+def _action_outcome(result):
+    """What a monodromy-action call gave, in bytes and strings: the error's
+    type and message, or the four matrices of the action."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return tuple(getattr(result, f).tobytes()
+                 for f in ("full", "coboundaries", "complement", "quotient"))
+
+
+def _one_rep_action(fk, rep):
+    try:
+        return _action_outcome(monodromy_action(fk, rep))
+    except FibtorError as exc:
+        return _action_outcome(exc)
+
+
 def _mixed_torsion_cases():
     """(home knot, error code or "ok", representation) on the trefoil, the
     figure-eight and figure_eight^5, with every refusal of the torsion half."""
@@ -680,32 +697,38 @@ def _mixed_torsion_cases():
 @pytest.mark.parametrize("budget", [fibered_module.TORSION_STACK_LETTERS, 1, 40])
 def test_stacked_torsion_matches_the_stack_of_one(monkeypatch, budget):
     # every representation under every knot, its own and the others: the
-    # stacked call gives each one the report bytes or the error that it
-    # gives alone, in chunks of every size
+    # stacked calls give each one the report bytes, or the action's
+    # matrices, or the error that it gives alone, in chunks of every size
     monkeypatch.setattr(fibered_module, "TORSION_STACK_LETTERS", budget)
     cases = _mixed_torsion_cases()
     reps = [rep for _, _, rep in cases]
     for fk in {id(fk): fk for fk, _, _ in cases}.values():
         stacked = main_theorem_torsions(fk, reps)
-        assert len(stacked) == len(reps)
-        for (home, code, rep), result in zip(cases, stacked):
+        actions = monodromy_actions(fk, reps)
+        assert len(stacked) == len(actions) == len(reps)
+        for (home, code, rep), result, action in zip(cases, stacked, actions):
             assert _torsion_outcome(result) == _one_rep_torsion(fk, rep)
+            assert _action_outcome(action) == _one_rep_action(fk, rep)
             if home is fk:
                 assert (result.code if isinstance(result, FibtorError) else "ok") == code
+                # the unit-eigenvalue test belongs to the torsion, not the action
+                assert (action.code if isinstance(action, FibtorError) else "ok") == (
+                    "ok" if code == "NO_UNIT_EIGENVALUE" else code)
     far = [rep for _, code, rep in cases if code == "NO_UNIT_EIGENVALUE"]
     assert "closest: 1.759e-05" in str(main_theorem_torsions(figure_eight(), far)[0])
 
 
 def test_stacked_torsion_edges():
     fk = figure_eight()
-    assert main_theorem_torsions(fk, []) == []
     cases = _mixed_torsion_cases()
     reps = [rep for _, _, rep in cases]
     order = np.random.default_rng(3).permutation(len(reps))
-    straight = main_theorem_torsions(fk, reps)
-    permuted = main_theorem_torsions(fk, [reps[k] for k in order])
-    assert ([_torsion_outcome(r) for r in permuted]
-            == [_torsion_outcome(straight[k]) for k in order])
+    for stacked, outcome in ((main_theorem_torsions, _torsion_outcome),
+                             (monodromy_actions, _action_outcome)):
+        assert stacked(fk, []) == []
+        straight = stacked(fk, reps)
+        permuted = stacked(fk, [reps[k] for k in order])
+        assert [outcome(r) for r in permuted] == [outcome(straight[k]) for k in order]
 
 
 def test_overflowing_row_is_refused_alone():
