@@ -27,11 +27,14 @@ from .errors import (
 from .torsion import (
     BasedChainComplex,
     ChainComplexError,
+    homologies,
     homology,
     multiplicativity_check,
+    multiplicativity_checks,
     multiplicativity_signs,
     sign_determined_torsion,
     torsion,
+    torsions,
 )
 from .words import GroupPresentation, GroupRingElement, Word, fox_derivative
 from .rep import (

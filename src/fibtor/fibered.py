@@ -525,7 +525,12 @@ def wang_complex(fk, rep):
     H^1(F) slots, H^1(M) based so its image is that last basis vector, and
     H^2(M) based by the image of the last basis vector under the connecting
     map.  Returns (complex, action, basis)."""
-    act = monodromy_action(fk, rep)
+    return _wang_complex(monodromy_action(fk, rep), rep.tol)
+
+
+def _wang_complex(act, tol):
+    """`wang_complex` from the monodromy action `act`, under the rank
+    cutoff `tol`."""
     basis = _unit_last_basis(act.quotient)
     n = basis.shape[0]
     diff = np.eye(n, dtype=complex) - np.linalg.solve(basis, act.quotient @ basis)
@@ -538,7 +543,7 @@ def wang_complex(fk, rep):
         [1, n, n, 1],
         [last, diff, last.T.copy()],
         direction="cochain",
-        tol=rep.tol,
+        tol=tol,
     )
     return cochain, act, basis
 
@@ -560,7 +565,12 @@ def wang_exact_sequence(fk, rep):
 
     Returns (sub, total, quot, incl, proj), ready for multiplicativity_check.
     """
-    total = twisted_cochain_complex(rep)
+    return _wang_exact_sequence(fk, twisted_cochain_complex(rep))
+
+
+def _wang_exact_sequence(fk, total):
+    """`wang_exact_sequence` on the twisted cochain complex `total` of the
+    representation, under its rank cutoff."""
     n = 2 * fk.genus
     # degree-1 cochains: the 3n fiber coordinates, then the meridian block
     eye = np.eye(3 * n + 3, dtype=complex)
@@ -570,11 +580,11 @@ def wang_exact_sequence(fk, rep):
     sub = BasedChainComplex(
         [0, 3, 3 * n],
         [np.zeros((3, 0), dtype=complex), d1[:, 3 * n:]],
-        direction="cochain", tol=rep.tol)
+        direction="cochain", tol=total.tol)
     quot = BasedChainComplex(
         [3, 3 * n, 0],
         [total.boundaries[0][:3 * n, :], np.zeros((0, 3 * n), dtype=complex)],
-        direction="cochain", tol=rep.tol)
+        direction="cochain", tol=total.tol)
     return sub, total, quot, incl, proj
 
 
@@ -586,8 +596,13 @@ def wang_product_check(fk, rep):
     unit eigenvector closing the Wang complex; h2 is the image of that
     eigenvector under the connecting map of the mapping-cone sequence.
     """
-    wang, act, basis = wang_complex(fk, rep)
-    total = twisted_cochain_complex(rep)
+    return _wang_product(fk, rep, wang_complex(fk, rep), twisted_cochain_complex(rep))
+
+
+def _wang_product(fk, rep, wang_data, total):
+    """`wang_product_check` from the `wang_complex` result `wang_data` and
+    the twisted cochain complex `total` of `rep`."""
+    wang, act, basis = wang_data
     hdata = homology(total)
     if hdata.dims != [0, 1, 1]:
         raise NoUnitEigenvalueError(

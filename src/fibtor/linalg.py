@@ -68,23 +68,3 @@ def orthogonal_complement(basis, tol=RANK_TOL):
     u, s, _ = np.linalg.svd(_as_matrix(basis), full_matrices=True)
     return u[:, _rank(s, tol):]
 
-
-def solve_in_span(basis, vectors):
-    """Coordinates of `vectors` (columns) in span(basis); raises if outside.
-
-    Returns x with basis @ x ~= vectors.
-    """
-    basis = _as_matrix(basis)
-    vectors = _as_matrix(vectors)
-    if basis.shape[1] == 0:
-        if vectors.size and np.linalg.norm(vectors) > 1e-6:
-            raise np.linalg.LinAlgError("vectors not in the zero span")
-        return np.zeros((0, vectors.shape[1]), dtype=complex)
-    x, *_ = np.linalg.lstsq(basis, vectors, rcond=None)
-    resid = np.linalg.norm(basis @ x - vectors)
-    scale = max(1.0, np.linalg.norm(vectors))
-    if resid > 1e-6 * scale:
-        raise np.linalg.LinAlgError(
-            "vectors are not in the span (residual %.3e)" % (resid / scale)
-        )
-    return x

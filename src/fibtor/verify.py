@@ -14,6 +14,11 @@ import numpy as np
 from .catalog import figure_eight, holonomy_representation, trefoil
 from .errors import FibtorError
 from .fibered import (
+    _report,
+    _wang_complex,
+    _wang_exact_sequence,
+    _wang_product,
+    eigenvalues_excluding_one,
     epsilon0,
     lift_characters_to_reps,
     main_theorem_torsion,
@@ -22,31 +27,39 @@ from .fibered import (
     random_conjugate,
     sample_fixed_locus,
     torus_closed_form,
-    wang_exact_sequence,
-    wang_product_check,
-    wang_sequence_torsion,
 )
 from .rep import SL2C, SU2, Representation, commutator_trace, twisted_cochain_complex
 from .torsion import (
     BasedChainComplex,
+    ChainComplexError,
+    by_shape,
     draw_invertible,
-    homology,
-    invertible_from,
+    homologies,
+    invertibles_from,
     multiplicativity_check,
-    random_invertible,
+    multiplicativity_checks,
     torsion,
+    torsions,
 )
 from .words import GroupPresentation
 
 
 # -- random complexes (used here and by the test suite) ------------------------
+#
+# A random complex is drawn first and built after: `_draw_based_complex` takes
+# every random number, in the order of a loop that builds each complex as it
+# draws it, and the builders take many draws at once, so a check can draw all
+# its complexes and then build every basis change with one QR and one inverse
+# per size.
 
 
 def random_based_complex(rng, max_degree=4):
     """A random based, homology based chain complex with controlled
     conditioning: a sum of elementary pieces (isomorphisms and bare homology
     summands) pushed through random well-conditioned basis changes."""
-    return _build_based_complex(_draw_based_complex(rng, max_degree))
+    draw = _draw_based_complex(rng, max_degree)
+    mats = invertibles_from(draw[5])
+    return _raise(_build_based_complex(draw, mats, by_shape(np.linalg.inv, mats)))
 
 
 def _draw_based_complex(rng, max_degree):
@@ -64,8 +77,11 @@ def _draw_based_complex(rng, max_degree):
     return n, hdims, pairs, dims, diagonals, [draw_invertible(rng, m) for m in dims]
 
 
-def _build_based_complex(draw):
-    n, hdims, pairs, dims, diagonals, changes = draw
+def _build_based_complex(draw, mats, invs):
+    """The complex of a `_draw_based_complex` draw, from the matrices of its
+    basis-change draws and their inverses; or the ChainComplexError that
+    refused it."""
+    n, hdims, pairs, dims, diagonals, _ = draw
     # canonical block differentials
     ds = []
     for i in range(1, n + 1):
@@ -82,22 +98,50 @@ def _build_based_complex(draw):
             z[k, k] = 1.0
         hb.append(z)
     # random changes of basis
-    mats = [invertible_from(c) for c in changes]
-    invs = [np.linalg.inv(m) for m in mats]
     nds = [invs[i - 1] @ ds[i - 1] @ mats[i] for i in range(1, n + 1)]
     nhb = [invs[i] @ hb[i] for i in range(n + 1)]
-    return BasedChainComplex(dims, nds, direction="chain", homology_bases=nhb)
+    return _attempt(BasedChainComplex, dims, nds, direction="chain", homology_bases=nhb)
 
 
 def random_block_sum_ses(rng):
     """A short exact sequence C' >-> C' (+) C'' ->> C'' with block bases and
     generically mixed homology bases on the middle complex."""
-    c1 = random_based_complex(rng, 3)
-    while True:  # a draw of another degree only consumes its random numbers
-        draw = _draw_based_complex(rng, 3)
-        if draw[0] == c1.top_degree:
+    return _raise(_build_block_sum_ses([_draw_block_sum_ses(rng)])[0])
+
+
+def _draw_block_sum_ses(rng):
+    """Every random number of `random_block_sum_ses`, drawn in its order:
+    C', then C'' at C''s top degree (a draw of another degree only consumes
+    its random numbers), then the mixing of the middle homology bases."""
+    first = _draw_based_complex(rng, 3)
+    while True:
+        second = _draw_based_complex(rng, 3)
+        if second[0] == first[0]:
             break
-    c2 = _build_based_complex(draw)
+    return first, second, [draw_invertible(rng, k1 + k2)
+                           for k1, k2 in zip(first[1], second[1])]
+
+
+def _build_block_sum_ses(draws):
+    """The sequences of `_draw_block_sum_ses` draws, every basis change built
+    with one QR and one inverse per size: per draw its (c1, total, c2, incl,
+    proj) or the ChainComplexError that refused it."""
+    mats = iter(invertibles_from([m for first, second, mixes in draws
+                                  for m in first[5] + second[5] + mixes]))
+    built = [[_take(mats, len(part)) for part in (first[5], second[5], mixes)]
+             for first, second, mixes in draws]
+    invs = iter(by_shape(np.linalg.inv, [m for b in built for m in b[0] + b[1]]))
+    out = []
+    for (first, second, _), (m1, m2, mixes) in zip(draws, built):
+        c1 = _build_based_complex(first, m1, _take(invs, len(m1)))
+        c2 = _build_based_complex(second, m2, _take(invs, len(m2)))
+        out.append(c1 if _failed(c1) else c2 if _failed(c2) else _block_sum(c1, c2, mixes))
+    return out
+
+
+def _block_sum(c1, c2, mixes):
+    """The sequence C' >-> C' (+) C'' ->> C'' of `random_block_sum_ses`, its
+    middle homology bases mixed by `mixes` (one matrix per degree)."""
     n = c1.top_degree
     dims = [c1.dims[i] + c2.dims[i] for i in range(n + 1)]
     ds = []
@@ -114,9 +158,11 @@ def random_block_sum_ses(rng):
         z[:c1.dims[i], :k1] = c1.homology_bases[i]
         z[c1.dims[i]:, k1:] = c2.homology_bases[i]
         if k1 + k2:
-            z = z @ random_invertible(rng, k1 + k2)
+            z = z @ mixes[i]
         hb.append(z)
-    total = BasedChainComplex(dims, ds, direction="chain", homology_bases=hb)
+    total = _attempt(BasedChainComplex, dims, ds, direction="chain", homology_bases=hb)
+    if _failed(total):
+        return total
     incl, proj = [], []
     for i in range(n + 1):
         m1, m2 = c1.dims[i], c2.dims[i]
@@ -129,6 +175,30 @@ def random_block_sum_ses(rng):
     return c1, total, c2, incl, proj
 
 
+def _take(items, count):
+    """The next `count` entries of the iterator `items`."""
+    return [next(items) for _ in range(count)]
+
+
+def _failed(result):
+    return isinstance(result, Exception)
+
+
+def _attempt(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the ChainComplexError or FibtorError it
+    raised, kept without its traceback for a loop in draw order to raise."""
+    try:
+        return fn(*args, **kwargs)
+    except (ChainComplexError, FibtorError) as exc:
+        return exc.with_traceback(None)
+
+
+def _raise(result):
+    if _failed(result):
+        raise result
+    return result
+
+
 # -- representation samplers ----------------------------------------------------
 
 
@@ -136,9 +206,7 @@ def _each(results):
     """The results of a stacked call in order, raising each refusal where
     a loop over the points one at a time would have raised it."""
     for result in results:
-        if isinstance(result, FibtorError):
-            raise result
-        yield result
+        yield _raise(result)
 
 
 def _trefoil_su2_samples(count, rng):
@@ -178,35 +246,62 @@ def _random_irreducible_pair(rng):
 
 def check_torsion_core_basis_change(rng, perturb=False):
     """Basis-change formula over 100 random complexes."""
-    worst = 0.0
+    # every random number first, in the order of a complex-by-complex loop:
+    # each complex, its chain basis changes, then its homology basis changes
+    draws = []
     for _ in range(100):
-        cx = random_based_complex(rng)
-        t0 = torsion(cx)
-        n = cx.top_degree
-        mats = [random_invertible(rng, m) for m in cx.dims]
-        invs = [np.linalg.inv(m) for m in mats]
-        nds = [invs[i - 1] @ cx.boundaries[i - 1] @ mats[i] for i in range(1, n + 1)]
+        draw = _draw_based_complex(rng, 4)
+        draws.append((draw, [draw_invertible(rng, m) for m in draw[3]],
+                      [draw_invertible(rng, k) for k in draw[1] if k]))
+    # then every basis change at once, and each round of torsions as a stack
+    mats = iter(invertibles_from([m for draw, changes, mixes in draws
+                                  for m in draw[5] + changes + mixes]))
+    built = [[_take(mats, len(part)) for part in (draw[5], changes, mixes)]
+             for draw, changes, mixes in draws]
+    invs = iter(by_shape(np.linalg.inv, [m for own, changes, _ in built
+                                         for m in own + changes]))
+    cxs, moved = [], []
+    for (draw, _, _), (own, changes, mixes) in zip(draws, built):
+        cx = _build_based_complex(draw, own, _take(invs, len(own)))
+        change_invs = _take(invs, len(changes))
+        cxs.append(cx)
+        if not _failed(cx):
+            moved.append((_basis_change(cx, changes, change_invs, mixes), mixes, changes))
+    dets = iter(by_shape(np.linalg.det, [m for _, mixes, changes in moved
+                                         for m in mixes + [c.T for c in changes]]))
+    t0s = iter(torsions([cx for cx in cxs if not _failed(cx)]))
+    t1s = iter(torsions([ncx for ncx, _, _ in moved if not _failed(ncx)]))
+    moved = iter(moved)
+    worst = 0.0
+    for cx in cxs:
+        _raise(cx)
+        t0 = _raise(next(t0s))
+        ncx, mixes, changes = next(moved)
+        det_hs = iter(_take(dets, len(mixes)))
+        det_cs = _take(dets, len(changes))
         expected_ratio = 1.0 + 0j
-        nhb = []
-        for i in range(n + 1):
-            h = cx.homology_bases[i]
-            nh = invs[i] @ h
-            k = h.shape[1]
-            if k:
-                q = random_invertible(rng, k)
-                nh = nh @ q
-                det_h = np.linalg.det(q)
-            else:
-                det_h = 1.0 + 0j
-            det_c = complex(np.linalg.det(mats[i].T))
-            expected_ratio *= (det_c / det_h) ** ((-1) ** i)
-            nhb.append(nh)
-        ncx = BasedChainComplex(cx.dims, nds, direction="chain", homology_bases=nhb)
-        t1 = torsion(ncx)
+        for i, h in enumerate(cx.homology_bases):
+            det_h = next(det_hs) if h.shape[1] else 1.0 + 0j
+            expected_ratio *= (complex(det_cs[i]) / det_h) ** ((-1) ** i)
+        _raise(ncx)
+        t1 = _raise(next(t1s))
         worst = max(worst, abs(t1 - t0 * expected_ratio) / abs(t0 * expected_ratio))
     if perturb:
         worst += 1e-3
     return worst <= 1e-8, "max relative residual %.2e over 100 complexes" % worst
+
+
+def _basis_change(cx, mats, invs, mixes):
+    """`cx` with its chain bases changed by `mats` (inverses `invs`) and
+    its homology bases further changed by `mixes`, one per degree of
+    nonzero homology; or the ChainComplexError that refused it."""
+    n = cx.top_degree
+    nds = [invs[i - 1] @ cx.boundaries[i - 1] @ mats[i] for i in range(1, n + 1)]
+    nhb, mixes = [], iter(mixes)
+    for i in range(n + 1):
+        nh = invs[i] @ cx.homology_bases[i]
+        nhb.append(nh @ next(mixes) if nh.shape[1] else nh)
+    return _attempt(BasedChainComplex, cx.dims, nds, direction="chain", homology_bases=nhb)
 
 
 def check_torsion_core_choice_invariance(rng, perturb=False):
@@ -223,11 +318,15 @@ def check_torsion_core_choice_invariance(rng, perturb=False):
 def check_torsion_core_multiplicativity(rng, perturb=False):
     """Multiplicativity lemma on 50 random block-sum short exact sequences,
     including the sign exponents."""
+    # every sequence drawn first, in the order of a sequence-by-sequence
+    # loop; then built, and checked, as one stack
+    seqs = _build_block_sum_ses([_draw_block_sum_ses(rng) for _ in range(50)])
+    checked = iter(multiplicativity_checks([s for s in seqs if not _failed(s)]))
     worst = 0.0
     sign_used = set()
-    for _ in range(50):
-        cs, ct, cq, incl, proj = random_block_sum_ses(rng)
-        residual, parts = multiplicativity_check(cs, ct, cq, incl, proj)
+    for seq in seqs:
+        _raise(seq)
+        residual, parts = _raise(next(checked))
         scale = max(1.0, abs(parts["total"]))
         worst = max(worst, residual / scale)
         sign_used.add((parts["alpha"] + parts["epsilon"]) % 2)
@@ -239,27 +338,35 @@ def check_torsion_core_multiplicativity(rng, perturb=False):
 def check_cohomology_dims(rng, perturb=False):
     """Twisted cohomology dimensions: torus (1,2,1); rank-2 free group
     (0,3); trefoil and figure-eight exteriors (0,1,1)."""
+    # every representation first, in the order of a rep-by-rep loop, then
+    # their homology as one stack; a refused sample waits for the reps
+    # drawn before it, as the loop met it
     t2 = GroupPresentation(["m", "l"], ["m l M L"])
-    for _ in range(10):
-        rep = _random_hyperbolic_torus_rep(rng, t2)
-        dims = homology(twisted_cochain_complex(rep)).dims
-        if dims != [1, 2, 1]:
-            return False, "torus rep gave dims %r" % (dims,)
+    cases = [("torus rep", [1, 2, 1], _random_hyperbolic_torus_rep(rng, t2))
+             for _ in range(10)]
     free2 = GroupPresentation(["a", "b"], [])
     from .fibered import _normal_form_pair
     for _ in range(10):
         a, b = _normal_form_pair(*_random_irreducible_pair(rng))
-        rep = Representation(free2, [a, b], flavor=SL2C)
-        dims = homology(twisted_cochain_complex(rep)).dims
-        if dims != [0, 3, 0]:
-            return False, "free-group rep gave dims %r" % (dims,)
-    fk_t, reps = _trefoil_su2_samples(4, rng)
-    fk_f, _, reps_f = _fig8_samples(4, rng)
-    for fk, rr in ((fk_t, reps), (fk_f, reps_f)):
-        for rep in rr:
-            dims = homology(twisted_cochain_complex(rep)).dims
-            if dims != [0, 1, 1]:
-                return False, "%s exterior gave dims %r" % (fk.name, dims)
+        cases.append(("free-group rep", [0, 3, 0],
+                      Representation(free2, [a, b], flavor=SL2C)))
+    refused = None
+    try:
+        fk_t, reps = _trefoil_su2_samples(4, rng)
+        fk_f, _, reps_f = _fig8_samples(4, rng)
+    except FibtorError as exc:
+        refused = exc
+    else:
+        cases += [("%s exterior" % fk.name, [0, 1, 1], rep)
+                  for fk, rr in ((fk_t, reps), (fk_f, reps_f)) for rep in rr]
+    cxs = [_attempt(twisted_cochain_complex, rep) for _, _, rep in cases]
+    found = iter(homologies([cx for cx in cxs if not _failed(cx)]))
+    for (what, want, _), cx in zip(cases, cxs):
+        _raise(cx)
+        dims = _raise(next(found)).dims
+        if dims != want:
+            return False, "%s gave dims %r" % (what, dims)
+    _raise(refused)
     return True, "torus (1,2,1) x10; free rank 2 (0,3) x10; exteriors (0,1,1) x8"
 
 
@@ -370,14 +477,19 @@ def check_wang_identities(rng, perturb=False):
     fk_f, _, reps_f = _fig8_samples(4, rng)
     for fk, reps in ((fk_t, reps_t), (fk_f, reps_f)):
         e0 = epsilon0(fk)
-        for rep, report in zip(reps, _each(main_theorem_torsions(fk, reps))):
-            wang = wang_sequence_torsion(fk, rep)
+        # each sample's monodromy action, Wang complex and twisted cochain
+        # complex are built once and serve all four identities
+        for rep, act in zip(reps, _each(monodromy_actions(fk, reps))):
+            report = _report(fk, eigenvalues_excluding_one(act.quotient), "cohomology")
+            wang_data = _wang_complex(act, rep.tol)
+            wang = torsion(wang_data[0])
             direct = np.prod([1.0 - lam for lam in report.eigenvalues])
             worst_prod = max(worst_prod, abs(wang - direct))
             worst_pair = max(worst_pair, abs(wang * report.torsion + e0))
-            residual, _ = multiplicativity_check(*wang_exact_sequence(fk, rep))
+            total = twisted_cochain_complex(rep)
+            residual, _ = multiplicativity_check(*_wang_exact_sequence(fk, total))
             worst_mult = max(worst_mult, residual)
-            worst_norm = max(worst_norm, abs(wang_product_check(fk, rep) + 1.0))
+            worst_norm = max(worst_norm, abs(_wang_product(fk, rep, wang_data, total) + 1.0))
     ok = max(worst_prod, worst_pair, worst_mult, worst_norm) <= 1e-8
     return ok, ("|wang - prod| %.2e, |wang*main + eps0| %.2e, "
                 "mult residual %.2e, |Tor(C)Tor(W) + 1| %.2e" %
