@@ -14,6 +14,7 @@ import numpy as np
 from .catalog import figure_eight, holonomy_representation, trefoil
 from .errors import FibtorError
 from .fibered import (
+    _normal_form_pair,
     _report,
     _wang_complex,
     _wang_exact_sequence,
@@ -32,14 +33,16 @@ from .rep import SL2C, SU2, Representation, commutator_trace, twisted_cochain_co
 from .torsion import (
     BasedChainComplex,
     ChainComplexError,
-    by_shape,
+    _multiplicativity,
+    _torsion,
+    _valid,
     draw_invertible,
     homologies,
     invertibles_from,
     multiplicativity_check,
-    multiplicativity_checks,
+    run_alone,
+    run_stack,
     torsion,
-    torsions,
 )
 from .words import GroupPresentation
 
@@ -48,9 +51,9 @@ from .words import GroupPresentation
 #
 # A random complex is drawn first and built after: `_draw_based_complex` takes
 # every random number, in the order of a loop that builds each complex as it
-# draws it, and the builders take many draws at once, so a check can draw all
-# its complexes and then build every basis change with one QR and one inverse
-# per size.
+# draws it, and the builders are step generators (see `fibtor.torsion`), so a
+# check can draw all its complexes and then run one generator per complex,
+# every basis change built with one QR and one inverse per size.
 
 
 def random_based_complex(rng, max_degree=4):
@@ -58,8 +61,7 @@ def random_based_complex(rng, max_degree=4):
     conditioning: a sum of elementary pieces (isomorphisms and bare homology
     summands) pushed through random well-conditioned basis changes."""
     draw = _draw_based_complex(rng, max_degree)
-    mats = invertibles_from(draw[5])
-    return _raise(_build_based_complex(draw, mats, by_shape(np.linalg.inv, mats)))
+    return _build_based_complex(draw, *run_alone(_basis_changes(draw[5], len(draw[5]))))
 
 
 def _draw_based_complex(rng, max_degree):
@@ -77,10 +79,17 @@ def _draw_based_complex(rng, max_degree):
     return n, hdims, pairs, dims, diagonals, [draw_invertible(rng, m) for m in dims]
 
 
+def _basis_changes(draws, inverted):
+    """Step generator: the matrices of the `draw_invertible` draws `draws`
+    (a QR step), and the inverses of the first `inverted` (an inverse
+    step)."""
+    mats = yield from invertibles_from(draws)
+    return mats, (yield [(np.linalg.inv, m) for m in mats[:inverted]])
+
+
 def _build_based_complex(draw, mats, invs):
     """The complex of a `_draw_based_complex` draw, from the matrices of its
-    basis-change draws and their inverses; or the ChainComplexError that
-    refused it."""
+    basis-change draws and their inverses."""
     n, hdims, pairs, dims, diagonals, _ = draw
     # canonical block differentials
     ds = []
@@ -100,13 +109,13 @@ def _build_based_complex(draw, mats, invs):
     # random changes of basis
     nds = [invs[i - 1] @ ds[i - 1] @ mats[i] for i in range(1, n + 1)]
     nhb = [invs[i] @ hb[i] for i in range(n + 1)]
-    return _attempt(BasedChainComplex, dims, nds, direction="chain", homology_bases=nhb)
+    return BasedChainComplex(dims, nds, direction="chain", homology_bases=nhb)
 
 
 def random_block_sum_ses(rng):
     """A short exact sequence C' >-> C' (+) C'' ->> C'' with block bases and
     generically mixed homology bases on the middle complex."""
-    return _raise(_build_block_sum_ses([_draw_block_sum_ses(rng)])[0])
+    return run_alone(_block_sum_ses(_draw_block_sum_ses(rng)))
 
 
 def _draw_block_sum_ses(rng):
@@ -122,21 +131,15 @@ def _draw_block_sum_ses(rng):
                            for k1, k2 in zip(first[1], second[1])]
 
 
-def _build_block_sum_ses(draws):
-    """The sequences of `_draw_block_sum_ses` draws, every basis change built
-    with one QR and one inverse per size: per draw its (c1, total, c2, incl,
-    proj) or the ChainComplexError that refused it."""
-    mats = iter(invertibles_from([m for first, second, mixes in draws
-                                  for m in first[5] + second[5] + mixes]))
-    built = [[_take(mats, len(part)) for part in (first[5], second[5], mixes)]
-             for first, second, mixes in draws]
-    invs = iter(by_shape(np.linalg.inv, [m for b in built for m in b[0] + b[1]]))
-    out = []
-    for (first, second, _), (m1, m2, mixes) in zip(draws, built):
-        c1 = _build_based_complex(first, m1, _take(invs, len(m1)))
-        c2 = _build_based_complex(second, m2, _take(invs, len(m2)))
-        out.append(c1 if _failed(c1) else c2 if _failed(c2) else _block_sum(c1, c2, mixes))
-    return out
+def _block_sum_ses(draw):
+    """Step generator: the sequence (c1, total, c2, incl, proj) of a
+    `_draw_block_sum_ses` draw."""
+    first, second, mixes = draw
+    k1, k2 = len(first[5]), len(second[5])
+    mats, invs = yield from _basis_changes(first[5] + second[5] + mixes, k1 + k2)
+    c1 = _build_based_complex(first, mats[:k1], invs[:k1])
+    c2 = _build_based_complex(second, mats[k1:k1 + k2], invs[k1:])
+    return _block_sum(c1, c2, mats[k1 + k2:])
 
 
 def _block_sum(c1, c2, mixes):
@@ -160,9 +163,7 @@ def _block_sum(c1, c2, mixes):
         if k1 + k2:
             z = z @ mixes[i]
         hb.append(z)
-    total = _attempt(BasedChainComplex, dims, ds, direction="chain", homology_bases=hb)
-    if _failed(total):
-        return total
+    total = BasedChainComplex(dims, ds, direction="chain", homology_bases=hb)
     incl, proj = [], []
     for i in range(n + 1):
         m1, m2 = c1.dims[i], c2.dims[i]
@@ -175,15 +176,6 @@ def _block_sum(c1, c2, mixes):
     return c1, total, c2, incl, proj
 
 
-def _take(items, count):
-    """The next `count` entries of the iterator `items`."""
-    return [next(items) for _ in range(count)]
-
-
-def _failed(result):
-    return isinstance(result, Exception)
-
-
 def _attempt(fn, *args, **kwargs):
     """fn(*args, **kwargs), or the ChainComplexError or FibtorError it
     raised, kept without its traceback for a loop in draw order to raise."""
@@ -193,12 +185,6 @@ def _attempt(fn, *args, **kwargs):
         return exc.with_traceback(None)
 
 
-def _raise(result):
-    if _failed(result):
-        raise result
-    return result
-
-
 # -- representation samplers ----------------------------------------------------
 
 
@@ -206,7 +192,7 @@ def _each(results):
     """The results of a stacked call in order, raising each refusal where
     a loop over the points one at a time would have raised it."""
     for result in results:
-        yield _raise(result)
+        yield _valid(result)
 
 
 def _trefoil_su2_samples(count, rng):
@@ -247,61 +233,53 @@ def _random_irreducible_pair(rng):
 def check_torsion_core_basis_change(rng, perturb=False):
     """Basis-change formula over 100 random complexes."""
     # every random number first, in the order of a complex-by-complex loop:
-    # each complex, its chain basis changes, then its homology basis changes
+    # each complex, its chain basis changes, then its homology basis changes;
+    # then one generator per complex, run as one stack
     draws = []
     for _ in range(100):
         draw = _draw_based_complex(rng, 4)
         draws.append((draw, [draw_invertible(rng, m) for m in draw[3]],
                       [draw_invertible(rng, k) for k in draw[1] if k]))
-    # then every basis change at once, and each round of torsions as a stack
-    mats = iter(invertibles_from([m for draw, changes, mixes in draws
-                                  for m in draw[5] + changes + mixes]))
-    built = [[_take(mats, len(part)) for part in (draw[5], changes, mixes)]
-             for draw, changes, mixes in draws]
-    invs = iter(by_shape(np.linalg.inv, [m for own, changes, _ in built
-                                         for m in own + changes]))
-    cxs, moved = [], []
-    for (draw, _, _), (own, changes, mixes) in zip(draws, built):
-        cx = _build_based_complex(draw, own, _take(invs, len(own)))
-        change_invs = _take(invs, len(changes))
-        cxs.append(cx)
-        if not _failed(cx):
-            moved.append((_basis_change(cx, changes, change_invs, mixes), mixes, changes))
-    dets = iter(by_shape(np.linalg.det, [m for _, mixes, changes in moved
-                                         for m in mixes + [c.T for c in changes]]))
-    t0s = iter(torsions([cx for cx in cxs if not _failed(cx)]))
-    t1s = iter(torsions([ncx for ncx, _, _ in moved if not _failed(ncx)]))
-    moved = iter(moved)
     worst = 0.0
-    for cx in cxs:
-        _raise(cx)
-        t0 = _raise(next(t0s))
-        ncx, mixes, changes = next(moved)
-        det_hs = iter(_take(dets, len(mixes)))
-        det_cs = _take(dets, len(changes))
-        expected_ratio = 1.0 + 0j
-        for i, h in enumerate(cx.homology_bases):
-            det_h = next(det_hs) if h.shape[1] else 1.0 + 0j
-            expected_ratio *= (complex(det_cs[i]) / det_h) ** ((-1) ** i)
-        _raise(ncx)
-        t1 = _raise(next(t1s))
-        worst = max(worst, abs(t1 - t0 * expected_ratio) / abs(t0 * expected_ratio))
+    for residual in run_stack([_basis_change_residual(*d) for d in draws]):
+        worst = max(worst, _valid(residual))
     if perturb:
         worst += 1e-3
     return worst <= 1e-8, "max relative residual %.2e over 100 complexes" % worst
 
 
+def _basis_change_residual(draw, changes, mixes):
+    """Step generator: the relative residual of the basis-change formula on
+    the complex of the `_draw_based_complex` draw `draw`, its chain bases
+    changed by the matrices of the draws `changes` and its homology bases
+    further changed by those of `mixes`, one per degree of nonzero
+    homology."""
+    k = len(changes)
+    mats, invs = yield from _basis_changes(draw[5] + changes + mixes, 2 * k)
+    own, changes, mixes = mats[:k], mats[k:2 * k], mats[2 * k:]
+    cx = _build_based_complex(draw, own, invs[:k])
+    dets = yield [(np.linalg.det, m) for m in mixes + [c.T for c in changes]]
+    det_hs, det_cs = iter(dets[:len(mixes)]), dets[len(mixes):]
+    t0 = yield from _torsion(cx)
+    t1 = yield from _torsion(_basis_change(cx, changes, invs[k:], mixes))
+    expected_ratio = 1.0 + 0j
+    for i, h in enumerate(cx.homology_bases):
+        det_h = next(det_hs) if h.shape[1] else 1.0 + 0j
+        expected_ratio *= (complex(det_cs[i]) / det_h) ** ((-1) ** i)
+    return abs(t1 - t0 * expected_ratio) / abs(t0 * expected_ratio)
+
+
 def _basis_change(cx, mats, invs, mixes):
     """`cx` with its chain bases changed by `mats` (inverses `invs`) and
     its homology bases further changed by `mixes`, one per degree of
-    nonzero homology; or the ChainComplexError that refused it."""
+    nonzero homology."""
     n = cx.top_degree
     nds = [invs[i - 1] @ cx.boundaries[i - 1] @ mats[i] for i in range(1, n + 1)]
     nhb, mixes = [], iter(mixes)
     for i in range(n + 1):
         nh = invs[i] @ cx.homology_bases[i]
         nhb.append(nh @ next(mixes) if nh.shape[1] else nh)
-    return _attempt(BasedChainComplex, cx.dims, nds, direction="chain", homology_bases=nhb)
+    return BasedChainComplex(cx.dims, nds, direction="chain", homology_bases=nhb)
 
 
 def check_torsion_core_choice_invariance(rng, perturb=False):
@@ -320,19 +298,23 @@ def check_torsion_core_multiplicativity(rng, perturb=False):
     including the sign exponents."""
     # every sequence drawn first, in the order of a sequence-by-sequence
     # loop; then built, and checked, as one stack
-    seqs = _build_block_sum_ses([_draw_block_sum_ses(rng) for _ in range(50)])
-    checked = iter(multiplicativity_checks([s for s in seqs if not _failed(s)]))
+    draws = [_draw_block_sum_ses(rng) for _ in range(50)]
     worst = 0.0
     sign_used = set()
-    for seq in seqs:
-        _raise(seq)
-        residual, parts = _raise(next(checked))
+    for checked in run_stack([_checked_ses(draw) for draw in draws]):
+        residual, parts = _valid(checked)
         scale = max(1.0, abs(parts["total"]))
         worst = max(worst, residual / scale)
         sign_used.add((parts["alpha"] + parts["epsilon"]) % 2)
     detail = "max scaled residual %.2e; sign exponents hit: %s" % (
         worst, sorted(sign_used))
     return worst <= 1e-7 and len(sign_used) == 2, detail
+
+
+def _checked_ses(draw):
+    """Step generator: `multiplicativity_check` on the sequence of a
+    `_draw_block_sum_ses` draw."""
+    return (yield from _multiplicativity(*(yield from _block_sum_ses(draw))))
 
 
 def check_cohomology_dims(rng, perturb=False):
@@ -345,7 +327,6 @@ def check_cohomology_dims(rng, perturb=False):
     cases = [("torus rep", [1, 2, 1], _random_hyperbolic_torus_rep(rng, t2))
              for _ in range(10)]
     free2 = GroupPresentation(["a", "b"], [])
-    from .fibered import _normal_form_pair
     for _ in range(10):
         a, b = _normal_form_pair(*_random_irreducible_pair(rng))
         cases.append(("free-group rep", [0, 3, 0],
@@ -360,13 +341,13 @@ def check_cohomology_dims(rng, perturb=False):
         cases += [("%s exterior" % fk.name, [0, 1, 1], rep)
                   for fk, rr in ((fk_t, reps), (fk_f, reps_f)) for rep in rr]
     cxs = [_attempt(twisted_cochain_complex, rep) for _, _, rep in cases]
-    found = iter(homologies([cx for cx in cxs if not _failed(cx)]))
+    found = iter(homologies([cx for cx in cxs if not isinstance(cx, Exception)]))
     for (what, want, _), cx in zip(cases, cxs):
-        _raise(cx)
-        dims = _raise(next(found)).dims
+        _valid(cx)
+        dims = _valid(next(found)).dims
         if dims != want:
             return False, "%s gave dims %r" % (what, dims)
-    _raise(refused)
+    _valid(refused)
     return True, "torus (1,2,1) x10; free rank 2 (0,3) x10; exteriors (0,1,1) x8"
 
 
