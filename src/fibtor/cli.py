@@ -301,6 +301,8 @@ def _render_rows(names, rows, fmt):
 
 
 def cmd_verify(args):
+    if args.seed < 0:  # numpy seeds only non-negative integers
+        raise InvalidInputError("--seed must be a non-negative integer, not %d" % args.seed)
     results = run_checks(name_filter=args.filter, seed=args.seed,
                          perturb=args.inject_perturbation)
     if not results:

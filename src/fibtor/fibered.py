@@ -50,7 +50,7 @@ from .rep import (
     su2_pair,
     twisted_cochain_complex,
 )
-from .torsion import BasedChainComplex, homology, sign_determined_torsion, torsion
+from .torsion import BasedChainComplex, _valid, homology, sign_determined_torsion, torsion
 from .words import GroupPresentation, Word, inverse_spelling
 
 
@@ -226,25 +226,71 @@ class MonodromyAction:
 TORSION_STACK_LETTERS = 1 << 14
 
 
-def _action_stacks(fk, reps, out):
-    """The monodromy action on H^1(F; sl2_rho) at every representation in
-    `reps`, computed stacked: the core of `monodromy_actions` and
-    `main_theorem_torsions`.
+def _fox_stack(reps, letters, n):
+    """The (n, N, 3, 3) Fox/adjoint blocks of the letters at the N
+    representations, from their prefix stacks; N = 1 takes the one-point
+    path."""
+    stacks = [rep.prefix_stack(letters) for rep in reps]
+    if len(stacks) == 1:
+        return fox_adjoint_blocks(stacks[0], letters, n)[:, None]
+    return fox_adjoint_blocks(np.stack(stacks, 1), letters, n)
 
-    Each representation that a check refuses gets its FibtorError in
-    `out`; the others come back in groups (rows, full, coboundaries,
-    complement, quotient), each a list of indices into `reps` and four
-    stacks over those rows.  The rows are taken in chunks of at most
-    TORSION_STACK_LETTERS generator-letters; each chunk runs one batched
-    adjoint and SVD for d0 and B^1, one Fox/adjoint pass per monodromy word
-    over the rows' prefix stacks, one Ad(T) product, one B^1-preservation
-    product, one complement SVD and one quotient product.  The rank and
-    residual tests run row by row, under each representation's cutoff, in
-    the order, with the messages and on the bits of a row computed alone.
+
+def _action_chunk(fk, reps, words):
+    """One chunk of `monodromy_actions`.  Every row runs the whole pass: one
+    batched SVD of d0, one Fox/adjoint pass per monodromy word over the
+    prefix stacks, one Ad(T) product, one B^1-preservation product, one SVD
+    of B^1 for its complement and one quotient product.  Only then is each
+    row decided, under its own cutoff."""
+    n = len(fk.fiber_generators)
+    d0 = coboundary_matrix([rep.images[:n] for rep in reps])
+    u, svals, _ = np.linalg.svd(d0)
+    bspace = u[:, :, :3]
+    adT = adjoint(np.array([rep.image(fk.meridian) for rep in reps]))
+    # block (j, i) is Ad(T) Phi(d phi(x_j) / d x_i), at every row
+    blocks = np.array([_fox_stack(reps, w, n) for w in words])
+    blocks = adT[:, None, None] @ blocks.transpose(2, 0, 1, 3, 4)
+    full = blocks.swapaxes(2, 3).reshape(len(reps), 3 * n, 3 * n)
+    image = full @ bspace
+    moved = image - bspace @ (bspace.conj().swapaxes(1, 2) @ image)
+    # the quotient is modelled on the orthogonal complement of B^1, the
+    # trailing 3n - 3 left singular vectors of its basis; the induced
+    # eigenvalues do not depend on that choice
+    comp = np.linalg.svd(bspace)[0][:, :, 3:]
+    quotient = comp.conj().swapaxes(1, 2) @ full @ comp
+    return [_decided(*row) for row in zip(reps, svals, moved, full, d0, comp, quotient)]
+
+
+def _decided(rep, svals, moved, full, d0, comp, quotient):
+    """One row of `_action_chunk`: its MonodromyAction, or the error of the
+    first check it fails."""
+    # B^1 is the column space of d0; its rank is 3 exactly when the fiber
+    # restriction has no Ad-fixed vector (H^0(F) = 0)
+    rank = _rank(svals, rep.tol)
+    if rank < 3:
+        return ReducibleRestrictionError(
+            "fiber restriction has an Ad-fixed vector (dim %d); "
+            "the representation is reducible or metabelian" % (3 - rank))
+    resid = np.linalg.norm(moved)
+    if resid > 1e-6 * max(1.0, np.linalg.norm(full)):
+        return RelatorViolationError(
+            "monodromy action does not preserve the coboundary space "
+            "(residual %.3e); the representation violates the mapping-torus "
+            "relators" % resid)
+    return MonodromyAction(full, d0, comp, quotient)
+
+
+def monodromy_actions(fk, reps):
+    """`monodromy_action` at every representation in `reps`: per
+    representation, its MonodromyAction or the FibtorError that refused it,
+    with the checks, messages and bits of a row computed alone.  Each chunk
+    of at most TORSION_STACK_LETTERS generator-letters is one stacked pass
+    (`_action_chunk`).  The errors are made and never raised, so they carry
+    no traceback to hold the stack.
     """
     n = len(fk.fiber_generators)
     words = [w.letters for w in fk.monodromy_words()]
-    live = []
+    out, live = [None] * len(reps), []
     for i, rep in enumerate(reps):
         if rep.presentation.generators[:n] != fk.fiber_generators:
             out[i] = InvalidInputError("the representation's first generators must "
@@ -252,91 +298,10 @@ def _action_stacks(fk, reps, out):
         else:
             live.append(i)
     step = max(1, TORSION_STACK_LETTERS // (n * sum(len(w) + 1 for w in words)))
-    groups = []
     for start in range(0, len(live), step):
-        groups += _action_chunk(fk, reps, live[start:start + step], words, out)
-    return groups
-
-
-def _fox_stack(reps, rows, letters, n):
-    """The (n, N, 3, 3) Fox/adjoint blocks of the letters at the rows, from
-    their prefix stacks; one row takes the one-point path."""
-    stacks = [reps[i].prefix_stack(letters) for i in rows]
-    if len(stacks) == 1:
-        return fox_adjoint_blocks(stacks[0], letters, n)[:, None]
-    return fox_adjoint_blocks(np.stack(stacks, 1), letters, n)
-
-
-def _action_chunk(fk, reps, rows, words, out):
-    """`_action_stacks` on one chunk of rows."""
-    n = len(fk.fiber_generators)
-    d0 = coboundary_matrix([reps[i].images[:n] for i in rows])
-    u, svals, _ = np.linalg.svd(d0)
-    kept = []
-    for j, i in enumerate(rows):
-        # B^1 is the column space of d0; its rank is 3 exactly when the
-        # fiber restriction has no Ad-fixed vector (H^0(F) = 0)
-        rank = _rank(svals[j], reps[i].tol)
-        if rank < 3:
-            out[i] = ReducibleRestrictionError(
-                "fiber restriction has an Ad-fixed vector (dim %d); "
-                "the representation is reducible or metabelian" % (3 - rank))
-        else:
-            kept.append(j)
-    rows, (d0, bspace) = _take(rows, kept, d0, u[:, :, :3])
-    if not rows:
-        return []
-    adT = adjoint(np.array([reps[i].image(fk.meridian) for i in rows]))
-    # block (j, i) is Ad(T) Phi(d phi(x_j) / d x_i), at every row
-    blocks = np.array([_fox_stack(reps, rows, w, n) for w in words])
-    blocks = adT[:, None, None] @ blocks.transpose(2, 0, 1, 3, 4)
-    full = blocks.swapaxes(2, 3).reshape(len(rows), 3 * n, 3 * n)
-    image = full @ bspace
-    moved = image - bspace @ (bspace.conj().swapaxes(1, 2) @ image)
-    kept = []
-    for j, i in enumerate(rows):
-        resid = np.linalg.norm(moved[j])
-        if resid > 1e-6 * max(1.0, np.linalg.norm(full[j])):
-            out[i] = RelatorViolationError(
-                "monodromy action does not preserve the coboundary space "
-                "(residual %.3e); the representation violates the mapping-torus "
-                "relators" % resid)
-        else:
-            kept.append(j)
-    rows, (d0, bspace, full) = _take(rows, kept, d0, bspace, full)
-    if not rows:
-        return []
-    # the quotient is modelled on the orthogonal complement of B^1; the
-    # induced eigenvalues do not depend on that choice
-    u, svals, _ = np.linalg.svd(bspace)
-    ranks = [_rank(s, reps[i].tol) for s, i in zip(svals, rows)]
-    groups = []
-    for rank in set(ranks):
-        group, (group_full, group_d0, comp) = _take(
-            rows, [j for j, r in enumerate(ranks) if r == rank], full, d0, u[:, :, rank:])
-        groups.append((group, group_full, group_d0, comp,
-                       comp.conj().swapaxes(1, 2) @ group_full @ comp))
-    return groups
-
-
-def _take(rows, kept, *stacks):
-    """The rows at the positions `kept`, and each stack at them; the stacks
-    themselves when every row is kept."""
-    if len(kept) == len(rows):
-        return rows, stacks
-    return [rows[j] for j in kept], [s[kept] for s in stacks]
-
-
-def monodromy_actions(fk, reps):
-    """`monodromy_action` at every representation in `reps`: per
-    representation, its MonodromyAction or the FibtorError that refused it,
-    computed stacked by `_action_stacks`.  The errors are made there and
-    never raised, so they carry no traceback to hold the stack.
-    """
-    out = [None] * len(reps)
-    for rows, full, d0, comp, quotient in _action_stacks(fk, reps, out):
-        for j, i in enumerate(rows):
-            out[i] = MonodromyAction(full[j], d0[j], comp[j], quotient[j])
+        rows = live[start:start + step]
+        for i, action in zip(rows, _action_chunk(fk, [reps[i] for i in rows], words)):
+            out[i] = action
     return out
 
 
@@ -358,10 +323,7 @@ def monodromy_action(fk, rep):
     that choice.  Ranks are decided under the representation's cutoff.
     This is the stack of one of `monodromy_actions`.
     """
-    (action,) = monodromy_actions(fk, [rep])
-    if isinstance(action, FibtorError):
-        raise action
-    return action
+    return _valid(monodromy_actions(fk, [rep])[0])
 
 
 def _unit_eigenvalue(evs):
@@ -381,13 +343,17 @@ def _unit_eigenvalue(evs):
     return near[0]
 
 
+def _sorted(evs):
+    """The eigenvalues `evs` as complex numbers, in the order every report
+    prints them: by (real, imaginary)."""
+    return sorted((complex(z) for z in evs), key=lambda z: (z.real, z.imag))
+
+
 def _excluding_one(evs):
     """The eigenvalues `evs` with the (required, simple) unit eigenvalue
     removed, sorted by (real, imaginary)."""
     unit = _unit_eigenvalue(evs)
-    rest = [complex(evs[k]) for k in range(len(evs)) if k != unit]
-    rest.sort(key=lambda z: (z.real, z.imag))
-    return rest
+    return _sorted(evs[k] for k in range(len(evs)) if k != unit)
 
 
 def eigenvalues_excluding_one(m):
@@ -447,29 +413,29 @@ def main_theorem_torsions(fk, reps):
     """`main_theorem_torsion` at every representation in `reps`: per
     representation, its TorsionReport or the FibtorError that refused it.
 
-    The monodromy actions are computed stacked (`_action_stacks`), and the
-    eigenvalues of each stack of quotients come from one batched call.  The
-    unit-eigenvalue test, the product, the character and the Jacobian
-    cross-check run row by row, with the messages and on the bits of
-    `main_theorem_torsion`, which is the stack of one.  Errors are kept
-    without their tracebacks, whose frames would hold the whole stack.
+    The monodromy actions are computed stacked (`monodromy_actions`), and
+    the eigenvalues of all their quotients, which share one shape, come from
+    one batched call.  The unit-eigenvalue test, the product, the character
+    and the Jacobian cross-check run row by row, with the messages and on
+    the bits of `main_theorem_torsion`, which is the stack of one.  Errors
+    are kept without their tracebacks, whose frames would hold the whole
+    stack.
     """
-    out = [None] * len(reps)
-    for rows, _, _, _, quotient in _action_stacks(fk, reps, out):
-        evs = np.linalg.eigvals(quotient)
-        for j, i in enumerate(rows):
-            try:
-                out[i] = _report(fk, _excluding_one(evs[j]), "cohomology")
-            except FibtorError as exc:
-                out[i] = exc.with_traceback(None)
-                continue
-            if fk.genus == 1:
-                point = fk.character_of(reps[i])
-                out[i].character = point
-                if fk.trace_map is not None:
-                    jevs = np.linalg.eigvals(fk.trace_map.jacobian(point))
-                    out[i].jacobian_eigenvalues = sorted(
-                        (complex(z) for z in jevs), key=lambda z: (z.real, z.imag))
+    out = monodromy_actions(fk, reps)
+    rows = [i for i, act in enumerate(out) if isinstance(act, MonodromyAction)]
+    evs = np.linalg.eigvals([out[i].quotient for i in rows]) if rows else []
+    for i, row_evs in zip(rows, evs):
+        try:
+            out[i] = _report(fk, _excluding_one(row_evs), "cohomology")
+        except FibtorError as exc:
+            out[i] = exc.with_traceback(None)
+            continue
+        if fk.genus == 1:
+            point = fk.character_of(reps[i])
+            out[i].character = point
+            if fk.trace_map is not None:
+                out[i].jacobian_eigenvalues = _sorted(
+                    np.linalg.eigvals(fk.trace_map.jacobian(point)))
     return out
 
 
@@ -483,10 +449,7 @@ def main_theorem_torsion(fk, rep):
     Jacobian at the representation's character as an independent cross-check.
     This is the stack of one of `main_theorem_torsions`.
     """
-    (report,) = main_theorem_torsions(fk, [rep])
-    if isinstance(report, FibtorError):
-        raise report
-    return report
+    return _valid(main_theorem_torsions(fk, [rep])[0])
 
 
 def jacobian_torsion(fk, point):
@@ -922,10 +885,7 @@ def lift_character_to_rep(fk, point, flavor=SL2C, tol=RANK_TOL):
     representation's rank cutoff.  This is the one-point case of
     `lift_characters_to_reps`.
     """
-    (rep,) = lift_characters_to_reps(fk, [point], flavor=flavor, tol=tol)
-    if isinstance(rep, FibtorError):
-        raise rep
-    return rep
+    return _valid(lift_characters_to_reps(fk, [point], flavor=flavor, tol=tol)[0])
 
 
 def random_conjugate(rep, rng):

@@ -260,6 +260,14 @@ def test_verify_negative_control(capsys):
     assert "FAIL" in out
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    # numpy's generator takes no negative seed: refused before any check
+    # runs, with no traceback and no check line
+    out, err = run(capsys, "verify", "--seed", "-1", expect=1)
+    assert out == ""
+    assert err == "error[INVALID_INPUT]: --seed must be a non-negative integer, not -1\n"
+
+
 def _bad_knot_files():
     from fibtor import figure_eight
     good = json.loads(figure_eight().to_json())
@@ -533,17 +541,20 @@ _NUMBER_TEXT = st.one_of(
 )
 _GRID_RANGE = st.tuples(st.sampled_from(["x", "u", "x1", "x2", "x3"]), _NUMBER_TEXT,
                         _NUMBER_TEXT, st.integers(-2, 5))
-_ARGV = st.tuples(
-    st.sampled_from(["trefoil", "figure_eight"]),
-    st.one_of(
-        st.lists(_GRID_RANGE, min_size=1, max_size=3).map(
-            lambda ranges: ["sweep", "--grid=" + ",".join(
-                "%s=%s:%s:%d" % r for r in ranges)]),
-        st.lists(_NUMBER_TEXT, min_size=3, max_size=3).map(
-            lambda xs: ["compute", "--x=" + ",".join(xs)]),
-    ),
-    st.one_of(st.none(), _NUMBER_TEXT),
-).map(lambda t: t[1] + ["--knot", t[0]] + ([] if t[2] is None else ["--tol=" + t[2]]))
+_ARGV = st.one_of(
+    st.tuples(
+        st.sampled_from(["trefoil", "figure_eight"]),
+        st.one_of(
+            st.lists(_GRID_RANGE, min_size=1, max_size=3).map(
+                lambda ranges: ["sweep", "--grid=" + ",".join(
+                    "%s=%s:%s:%d" % r for r in ranges)]),
+            st.lists(_NUMBER_TEXT, min_size=3, max_size=3).map(
+                lambda xs: ["compute", "--x=" + ",".join(xs)]),
+        ),
+        st.one_of(st.none(), _NUMBER_TEXT),
+    ).map(lambda t: t[1] + ["--knot", t[0]] + ([] if t[2] is None else ["--tol=" + t[2]])),
+    _NUMBER_TEXT.map(lambda seed: ["verify", "--filter", "epsilon0_values", "--seed=" + seed]),
+)
 
 
 def _assert_exits_cleanly(argv):
@@ -561,7 +572,7 @@ def _assert_exits_cleanly(argv):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_ARGV)
 def test_cli_boundary_exits_cleanly(argv):
-    # any sweep grid, --x triple or --tol
+    # any sweep grid, --x triple, --tol or verify --seed
     _assert_exits_cleanly(argv)
 
 

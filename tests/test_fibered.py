@@ -691,6 +691,11 @@ def _mixed_torsion_cases():
     cases.append((fig8, "RELATOR_VIOLATION", Representation(
         fig8.presentation(), [lifted.image("a"), lifted.image("b"), np.eye(2)],
         check=False)))
+    # fails both action checks (B^1 residual 9.6 past the rank test): the
+    # rank refusal comes first
+    cases.append((fig8, "REDUCIBLE_RESTRICTION", Representation(
+        fig8.presentation(), [np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3]),
+                              np.array([[1.0, 1.0], [0.0, 1.0]])], check=False)))
     return cases
 
 
@@ -709,6 +714,10 @@ def test_stacked_torsion_matches_the_stack_of_one(monkeypatch, budget):
         for (home, code, rep), result, action in zip(cases, stacked, actions):
             assert _torsion_outcome(result) == _one_rep_torsion(fk, rep)
             assert _action_outcome(action) == _one_rep_action(fk, rep)
+            if not isinstance(action, FibtorError):
+                dim = 6 * fk.genus - 3
+                assert action.complement.shape[1] == dim
+                assert action.quotient.shape == (dim, dim)
             if home is fk:
                 assert (result.code if isinstance(result, FibtorError) else "ok") == code
                 # the unit-eigenvalue test belongs to the torsion, not the action
