@@ -204,24 +204,20 @@ def _parse_grid(spec):
 
 
 def _character_from_params(fk, params):
-    """Map named grid coordinates to a character point on the fixed locus."""
+    """The character point on the fixed locus that named grid coordinates
+    map to, or the InvalidInputError that refuses them."""
     if set(params) == {"x1", "x2", "x3"}:
         return (params["x1"], params["x2"], params["x3"])
     chart = fk.locus_chart
     if chart is not None and set(params) == {chart.coordinate}:
         value = params[chart.coordinate]
         if chart.pole is not None and abs(value - chart.pole) < 1e-9:
-            raise InvalidInputError("%s = %g is off the locus"
-                                    % (chart.coordinate, chart.pole))
+            return InvalidInputError("%s = %g is off the locus"
+                                     % (chart.coordinate, chart.pole))
         return chart.point(value)
-    raise InvalidInputError(
+    return InvalidInputError(
         "unsupported grid coordinates %s for %s (use x for trefoil, u for "
         "figure_eight, or x1,x2,x3)" % (sorted(params), fk.name))
-
-
-def _refuse(row, exc):
-    row["error"] = exc.code
-    row["message"] = str(exc)
 
 
 def cmd_sweep(args):
@@ -233,39 +229,22 @@ def cmd_sweep(args):
     names = list(grid)
     mesh = [dict(zip(names, vals))
             for vals in itertools.product(*(grid[n] for n in names))]
-    rows = []
+    results = []
     for start in range(0, len(mesh), SWEEP_STACK_ROWS):
-        # the rows on the locus are lifted as one stack, and their torsion
-        # is computed as one stack; a refused row keeps the error that refused it
-        lifting = []
-        for params in mesh[start:start + SWEEP_STACK_ROWS]:
-            row = {"params": params}
-            rows.append(row)
-            try:
-                lifting.append((row, _character_from_params(fk, params)))
-            except FibtorError as exc:
-                _refuse(row, exc)
-        reps = lift_characters_to_reps(fk, [point for _, point in lifting], tol=tol)
-        lifted = []
-        for (row, _), rep in zip(lifting, reps):
-            if isinstance(rep, FibtorError):
-                _refuse(row, rep)
-            else:
-                lifted.append((row, rep))
-        reports = main_theorem_torsions(fk, [rep for _, rep in lifted])
-        for (row, _), report in zip(lifted, reports):
-            if isinstance(report, FibtorError):
-                _refuse(row, report)
-            else:
-                row["report"] = report
-    failures = sum("error" in r for r in rows)
+        # a stack of rows is lifted in one pass and its torsion computed in
+        # another; a refused row keeps the error that refused it
+        points = [_character_from_params(fk, params)
+                  for params in mesh[start:start + SWEEP_STACK_ROWS]]
+        results += main_theorem_torsions(fk, lift_characters_to_reps(fk, points, tol=tol))
+    rows = list(zip(mesh, results))
+    values = [r.torsion.real for _, r in rows if not isinstance(r, FibtorError)]
+    failures = len(rows) - len(values)
     text = _render_rows(names, rows, args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    values = [r["report"].torsion.real for r in rows if "report" in r]
     if values:
         print("# rows=%d failures=%d torsion_re in [%s, %s]"
               % (len(rows), failures, _fmt_float(min(values)),
@@ -274,28 +253,27 @@ def cmd_sweep(args):
 
 
 def _render_rows(names, rows, fmt):
+    """The sweep output of the (params, TorsionReport or FibtorError) rows."""
     if fmt == "json":
         out = []
-        for r in rows:
-            entry = {n: _fmt_float(r["params"][n]) for n in names}
-            if "report" in r:
-                entry.update(r["report"].to_dict())
+        for params, result in rows:
+            entry = {n: _fmt_float(params[n]) for n in names}
+            if isinstance(result, FibtorError):
+                entry.update(error=result.code, message=str(result))
             else:
-                entry["error"] = r["error"]
-                entry["message"] = r["message"]
+                entry.update(result.to_dict())
             out.append(entry)
         return json.dumps(out, indent=1) + "\n"
     header = names + ["torsion_re", "torsion_im", "epsilon0", "eigenvalues", "error"]
     lines = [",".join(header)]
-    for r in rows:
-        cells = [_fmt_float(r["params"][n]) for n in names]
-        if "report" in r:
-            rep = r["report"]
-            cells += [_fmt_float(rep.torsion.real), _fmt_float(rep.torsion.imag),
-                      "%+d" % rep.epsilon0,
-                      ";".join(_fmt_complex(l) for l in rep.eigenvalues), ""]
+    for params, result in rows:
+        cells = [_fmt_float(params[n]) for n in names]
+        if isinstance(result, FibtorError):
+            cells += ["", "", "", "", result.code]
         else:
-            cells += ["", "", "", "", r["error"]]
+            cells += [_fmt_float(result.torsion.real), _fmt_float(result.torsion.imag),
+                      "%+d" % result.epsilon0,
+                      ";".join(_fmt_complex(l) for l in result.eigenvalues), ""]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

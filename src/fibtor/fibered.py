@@ -65,6 +65,8 @@ class FiberedKnot:
 
     def __init__(self, name, genus, fiber_generators, monodromy,
                  meridian="t", check_fibered=True):
+        if not isinstance(name, str):
+            raise InvalidInputError("knot name must be a string, not %r" % (name,))
         self.name = name
         if isinstance(genus, bool) or not isinstance(genus, int):
             raise InvalidInputError("genus must be an integer, not %r" % (genus,))
@@ -283,15 +285,18 @@ def _decided(rep, svals, moved, full, d0, comp, quotient):
 def monodromy_actions(fk, reps):
     """`monodromy_action` at every representation in `reps`: per
     representation, its MonodromyAction or the FibtorError that refused it,
-    with the checks, messages and bits of a row computed alone.  Each chunk
-    of at most TORSION_STACK_LETTERS generator-letters is one stacked pass
-    (`_action_chunk`).  The errors are made and never raised, so they carry
-    no traceback to hold the stack.
+    with the checks, messages and bits of a row computed alone.  A
+    FibtorError given in place of a representation is kept at its index.
+    Each chunk of at most TORSION_STACK_LETTERS generator-letters is one
+    stacked pass (`_action_chunk`).  The errors are made and never raised,
+    so they carry no traceback to hold the stack.
     """
     n = len(fk.fiber_generators)
     words = [w.letters for w in fk.monodromy_words()]
-    out, live = [None] * len(reps), []
+    out, live = list(reps), []
     for i, rep in enumerate(reps):
+        if isinstance(rep, FibtorError):
+            continue
         if rep.presentation.generators[:n] != fk.fiber_generators:
             out[i] = InvalidInputError("the representation's first generators must "
                                        "be the knot's fiber generators")
@@ -412,6 +417,7 @@ def _report(fk, lams, method):
 def main_theorem_torsions(fk, reps):
     """`main_theorem_torsion` at every representation in `reps`: per
     representation, its TorsionReport or the FibtorError that refused it.
+    A FibtorError given in place of a representation is kept at its index.
 
     The monodromy actions are computed stacked (`monodromy_actions`), and
     the eigenvalues of all their quotients, which share one shape, come from
@@ -784,36 +790,24 @@ def _intertwiner_systems(images, targets):
     return (left - right).swapaxes(0, 1).reshape(images.shape[1], -1, 4)
 
 
-def _check_intertwiner(svals, det):
-    """The checks on one point's intertwiner system: its singular values
-    and the determinant of the kernel vector as a 2x2 matrix."""
-    small = len(svals) - _rank(svals, 1e-7)
-    if small == 0:
-        raise NotFixedPointError(
-            "no meridian intertwiner: the point is not fixed by the monodromy "
-            "(smallest singular value %.3e)" % svals[-1])
-    if small > 1:
-        raise NotFixedPointError(
-            "intertwiner space has dimension %d; the pair is degenerate" % small)
-    if abs(det) < 1e-12:
-        raise NotFixedPointError("intertwiner is singular")
-
-
 def lift_characters_to_reps(fk, points, flavor=SL2C, tol=RANK_TOL):
     """Representations of the knot group over fixed-locus character points:
-    per point, its Representation or the FibtorError that refused it.
+    per point, its Representation or the FibtorError that refused it.  A
+    FibtorError given in place of a point is kept at its index.
 
     Each point passes `lift_character_to_rep`'s checks in the same order,
-    with the same messages and the same bits; the matrix work of all points
-    that pass the scalar checks runs stacked: one prefix-product pass per
-    monodromy word and per relator, one SVD and one determinant call.  A
-    point whose monodromy images are not finite is refused before the SVD.
-    Errors are kept without their tracebacks, whose frames would hold the
-    whole stack.
+    with the same messages and the same bits.  Every point that passes the
+    scalar checks runs the whole stacked pass: one prefix-product pass per
+    monodromy word, one SVD of the intertwiner systems, one determinant
+    call, the normalization and one prefix-product pass per relator.  A row
+    whose monodromy images are not finite has the identity in their place
+    in the SVD.  Only then is each row decided.  Errors are kept without
+    their tracebacks, whose frames would hold the whole stack.
     """
-    out = [None] * len(points)
-    pairs, live = [], []
+    out, pairs, live = list(points), [], []
     for i, point in enumerate(points):
+        if isinstance(point, FibtorError):
+            continue
         try:
             pairs.append(_fiber_pair(fk, point, flavor))
             live.append(i)
@@ -826,52 +820,47 @@ def lift_characters_to_reps(fk, points, flavor=SL2C, tol=RANK_TOL):
     # rho(phi(x)) is the last entry of the monodromy word's prefix stack; the
     # stacks are left on the representations for monodromy_action's Fox blocks
     words = [w.letters for w in fk.monodromy_words()]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        stacks = [prefix_products((A, B), inverses, w) for w in words]
-    moved = np.array([s[-1] for s in stacks])
-    finite = np.isfinite(moved).all(axis=(0, 2, 3))
-    if not finite.all():
-        for j in np.flatnonzero(~finite):
-            out[live[j]] = InvalidInputError(
-                "the monodromy images at (%s, %s, %s) are not finite numbers"
-                % tuple(complex(v) for v in points[live[j]][:3]))
-        if not finite.any():
-            return out
-        live = [i for i, ok in zip(live, finite) if ok]
-        A, B, moved = A[finite], B[finite], moved[:, finite]
-        stacks = [s[:, finite] for s in stacks]
-        inverses = tuple(m[finite] for m in inverses)
-    _, svals, vh = np.linalg.svd(_intertwiner_systems(moved, np.array([A, B])))
-    # the kernel vector holds T column by column
-    T = vh[:, -1].conj().reshape(-1, 2, 2).swapaxes(1, 2)
-    dets = np.linalg.det(T)
-    kept = []
-    for j, i in enumerate(live):
-        try:
-            _check_intertwiner(svals[j], dets[j])
-            kept.append(j)
-        except FibtorError as exc:
-            out[i] = exc.with_traceback(None)
-    if not kept:
-        return out
-    T = T[kept] / np.array([cmath.sqrt(dets[j]) for j in kept])[:, None, None]
-    images = (A[kept], B[kept], T)
-    inverses = (inverses[0][kept], inverses[1][kept], sl2_inverse(T))
     presentation = fk.presentation()
-    with np.errstate(over="ignore", invalid="ignore"):  # as relator_defect
+    # a row refused below may overflow, or divide by its singular T's zero
+    # determinant, before it is refused
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stacks = [prefix_products((A, B), inverses, w) for w in words]
+        moved = np.array([s[-1] for s in stacks])
+        finite = np.isfinite(moved).all(axis=(0, 2, 3))
+        moved[:, ~finite] = np.eye(2)
+        _, svals, vh = np.linalg.svd(_intertwiner_systems(moved, np.array([A, B])))
+        # the kernel vector holds T column by column
+        T = vh[:, -1].conj().reshape(-1, 2, 2).swapaxes(1, 2)
+        dets = np.linalg.det(T)
+        T = T / np.array([cmath.sqrt(det) for det in dets])[:, None, None]
+        images, inverses = (A, B, T), inverses + (sl2_inverse(T),)
         relators = {r.letters: prefix_products(images, inverses, r.letters)
                     for r in presentation.relators}
-    for k, j in enumerate(kept):
-        # the fiber generators are the presentation's first, so the letters
-        # of a monodromy word index the same images there
-        memo = {w: s[:, j] for w, s in zip(words, stacks)}
-        memo.update((r, s[:, k]) for r, s in relators.items())
-        try:
-            out[live[j]] = Representation(
-                presentation, [m[k] for m in images], flavor=flavor, tol=tol,
-                inverses=[m[k] for m in inverses], prefix_stacks=memo)
-        except FibtorError as exc:
-            out[live[j]] = exc.with_traceback(None)
+    for j, i in enumerate(live):
+        small = len(svals[j]) - _rank(svals[j], 1e-7)
+        if not finite[j]:
+            out[i] = InvalidInputError("the monodromy images at (%s, %s, %s) are not "
+                                       "finite numbers" % tuple(map(complex, points[i][:3])))
+        elif small == 0:
+            out[i] = NotFixedPointError(
+                "no meridian intertwiner: the point is not fixed by the monodromy "
+                "(smallest singular value %.3e)" % svals[j][-1])
+        elif small > 1:
+            out[i] = NotFixedPointError(
+                "intertwiner space has dimension %d; the pair is degenerate" % small)
+        elif abs(dets[j]) < 1e-12:
+            out[i] = NotFixedPointError("intertwiner is singular")
+        else:
+            # the fiber generators are the presentation's first, so the
+            # letters of a monodromy word index the same images there
+            memo = {w: s[:, j] for w, s in zip(words, stacks)}
+            memo.update((r, s[:, j]) for r, s in relators.items())
+            try:
+                out[i] = Representation(
+                    presentation, [m[j] for m in images], flavor=flavor, tol=tol,
+                    inverses=[m[j] for m in inverses], prefix_stacks=memo)
+            except FibtorError as exc:
+                out[i] = exc.with_traceback(None)
     return out
 
 

@@ -291,6 +291,10 @@ def _bad_knot_files():
         "unknown_generator": json.dumps(unknown_generator),
         "missing_key": json.dumps(missing_key),
         "truncated": figure_eight().to_json()[:-25],
+        # a name is a string: a NaN (raw text NaN) would be echoed into a
+        # JSON report
+        "name_nan": json.dumps(dict(good, name=float("nan"))),
+        "name_list": json.dumps(dict(good, name=["figure_eight"])),
     }
 
 
@@ -299,7 +303,8 @@ def _bad_knot_files():
                                   "generator_empty",
                                   "generator_spells_an_inverse",
                                   "generator_is_its_own_inverse",
-                                  "generators_a_string", "monodromy_extra_key"])
+                                  "generators_a_string", "monodromy_extra_key",
+                                  "name_nan", "name_list"])
 def test_malformed_knot_file_is_invalid_input(tmp_path, capsys, case):
     path = tmp_path / ("%s.json" % case)
     path.write_text(_bad_knot_files()[case])
@@ -558,8 +563,10 @@ _ARGV = st.one_of(
 
 
 def _assert_exits_cleanly(argv):
-    # a documented exit code: no traceback, no numpy warning
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+    # a documented exit code: no traceback, no numpy warning; returns the
+    # code and stdout
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("error")
         try:
@@ -567,6 +574,11 @@ def _assert_exits_cleanly(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
+    return code, out.getvalue()
+
+
+def _strict_constant(name):
+    raise AssertionError("%s is not strict JSON" % name)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -609,12 +621,16 @@ _REP_DOC = (st.fixed_dictionaries({"images": st.fixed_dictionaries(
 @settings(derandomize=True, deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(
-    _KNOT_DOC.map(lambda doc: (doc, ["--knot-file", "{path}", "--x", "0.5,-1,0.5"])),
+    _KNOT_DOC.map(lambda doc: (doc, ["--knot-file", "{path}", "--x", "0.5,-1,0.5",
+                                     "--format", "json"])),
     st.tuples(_REP_DOC, st.sampled_from(["trefoil", "figure_eight"])).map(
         lambda t: (t[0], ["--knot", t[1], "--rep-file", "{path}"]))))
 def test_cli_input_files_exit_cleanly(tmp_path, case):
-    # any JSON in a knot file or a rep file
+    # any JSON in a knot file or a rep file; a JSON report is strict JSON
     doc, argv = case
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    _assert_exits_cleanly(["compute"] + [a.replace("{path}", str(path)) for a in argv])
+    code, out = _assert_exits_cleanly(
+        ["compute"] + [a.replace("{path}", str(path)) for a in argv])
+    if code == 0 and "json" in argv:
+        json.loads(out, parse_constant=_strict_constant)

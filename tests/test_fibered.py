@@ -607,14 +607,20 @@ def test_stacked_lift_matches_one_point_lift():
         (figure_eight(), [fig8_locus_point(v) for v in u if v != 1.0], {}),
         # NOT_FIXED_POINT rows on raw coordinates, under another rank cutoff
         (figure_eight(), raw, {"tol": 1e-7}),
+        # one stack of an ok row (the locus point u = 0.3), NOT_FIXED_POINT
+        # rows and INVALID_INPUT rows whose monodromy images overflow
+        (figure_eight(), [(x1, x2, x3) for x1 in (0.3, 1e100)
+                          for x2 in (-0.4285714285714286, 1e100) for x3 in (0.3, 2.0)], {}),
     ]
     seen = set()
-    for fk, points, kwargs in cases:
-        stacked = lift_characters_to_reps(fk, points, **kwargs)
-        assert len(stacked) == len(points)
-        for point, lifted in zip(points, stacked):
-            assert _outcome(lifted) == _one_point_outcome(fk, point, **kwargs)
-            seen.add(lifted.code if isinstance(lifted, FibtorError) else "ok")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fk, points, kwargs in cases:
+            stacked = lift_characters_to_reps(fk, points, **kwargs)
+            assert len(stacked) == len(points)
+            for point, lifted in zip(points, stacked):
+                assert _outcome(lifted) == _one_point_outcome(fk, point, **kwargs)
+                seen.add(lifted.code if isinstance(lifted, FibtorError) else "ok")
     assert seen == {"ok", "REDUCIBLE_CHARACTER", "INVALID_INPUT", "NOT_FIXED_POINT",
                     "RELATOR_VIOLATION"}
 
@@ -740,10 +746,28 @@ def test_stacked_torsion_edges():
         assert [outcome(r) for r in permuted] == [outcome(straight[k]) for k in order]
 
 
+def test_refusals_given_in_place_pass_through():
+    # an error given in place of a point or a representation comes back at
+    # its index, the same object, and every other row is that of the call
+    # made without it
+    fk = figure_eight()
+    given = InvalidInputError("refused before the lift")
+    points = [fig8_locus_point(0.5), (2.0, 2.0, 2.0), fig8_locus_point(-1.2)]
+    reps = lift_characters_to_reps(fk, points)
+    for stacked, outcome, rows in ((lift_characters_to_reps, _outcome, points),
+                                   (monodromy_actions, _action_outcome, reps),
+                                   (main_theorem_torsions, _torsion_outcome, reps)):
+        out = stacked(fk, rows[:1] + [given] + rows[1:])
+        assert out[1] is given
+        assert [outcome(r) for r in out[:1] + out[2:]] == [
+            outcome(r) for r in stacked(fk, rows)]
+
+
 def test_overflowing_row_is_refused_alone():
     # (1e100, 1e100, 1) has a finite commutator trace, but its monodromy
-    # images overflow: that row is refused before the stacked SVD, with no
-    # numpy warning, and the other row keeps its bits
+    # images overflow: that row is refused (the stacked SVD sees the
+    # identity in their place), with no numpy warning, and the other row
+    # keeps its bits
     fk = figure_eight()
     good, bad = fig8_locus_point(0.6 + 0.3j), (1e100, 1e100, 1.0)
     with warnings.catch_warnings():

@@ -101,6 +101,11 @@ SWEEP_GRIDS = [
 # hands to every representation
 KNOT_FILE_SWEEP = ["--knot-file", "inputs/fig8.json",
                    "--grid", "x1=-1:2:7,x2=0.5:0.5:1,x3=-1:1:5", "--tol", "1e-7"]
+# one stack that holds a computed row (the locus point u = 0.3), five
+# NOT_FIXED_POINT rows and two rows whose monodromy images are not finite
+# (INVALID_INPUT)
+MIXED_SWEEP = ["--knot-file", "inputs/fig8.json", "--grid",
+               "x1=0.3:1e100:2,x2=-0.4285714285714286:1e100:2,x3=0.3:2:2"]
 
 CASES = [
     ("list", ["list"]),
@@ -163,6 +168,8 @@ for grid in ("x1=1e100:1e100:1,x2=1e100:1e100:1,x3=1:1:1",
 for fmt in ("csv", "json"):
     CASES.append(("sweep_knot_file_fig8_raw_tol_" + fmt,
                   ["sweep"] + KNOT_FILE_SWEEP + ["--format", fmt]))
+    CASES.append(("sweep_knot_file_fig8_mixed_" + fmt,
+                  ["sweep"] + MIXED_SWEEP + ["--format", fmt]))
     # rows refused in the torsion half: under the rank cutoff 0.1 three rows
     # have an Ad-fixed vector on the fiber (REDUCIBLE_RESTRICTION), next to
     # two REDUCIBLE_CHARACTER rows and computed rows
