@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 computation error, 2 usage error.
 
 import argparse
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -297,7 +298,10 @@ def cmd_verify(args):
     return 0 if failed == 0 else COMPUTE_ERROR
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing does not change
+    it, so every `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="fibtor",
         description="Adjoint Reidemeister torsion of fibered knot exteriors.")

@@ -21,7 +21,8 @@ the ordinary first cohomology of the fiber.
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -376,7 +377,17 @@ class TorsionReport:
     method: str
     knot: str = ""
     character: tuple = None
-    jacobian_eigenvalues: list = None
+    # genus one: the knot's trace map, read by jacobian_eigenvalues
+    _trace_map: object = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def jacobian_eigenvalues(self):
+        """Eigenvalues of the trace-map Jacobian at `character`, sorted as
+        `eigenvalues` are, an independent cross-check of them; None without
+        a trace map.  Computed the first time they are read."""
+        if self._trace_map is None:
+            return None
+        return _sorted(np.linalg.eigvals(self._trace_map.jacobian(self.character)))
 
     @property
     def unit_eigenvalue_gap(self):
@@ -421,9 +432,11 @@ def main_theorem_torsions(fk, reps):
 
     The monodromy actions are computed stacked (`monodromy_actions`), and
     the eigenvalues of all their quotients, which share one shape, come from
-    one batched call.  The unit-eigenvalue test, the product, the character
-    and the Jacobian cross-check run row by row, with the messages and on
-    the bits of `main_theorem_torsion`, which is the stack of one.  Errors
+    one batched call.  The unit-eigenvalue test, the product and the
+    character run row by row, with the messages and on the bits of
+    `main_theorem_torsion`, which is the stack of one.  A genus-one report
+    gets the knot's trace map, and computes its Jacobian cross-check only
+    when `jacobian_eigenvalues` is read: a CSV sweep never reads it.  Errors
     are kept without their tracebacks, whose frames would hold the whole
     stack.
     """
@@ -437,11 +450,8 @@ def main_theorem_torsions(fk, reps):
             out[i] = exc.with_traceback(None)
             continue
         if fk.genus == 1:
-            point = fk.character_of(reps[i])
-            out[i].character = point
-            if fk.trace_map is not None:
-                out[i].jacobian_eigenvalues = _sorted(
-                    np.linalg.eigvals(fk.trace_map.jacobian(point)))
+            out[i].character = fk.character_of(reps[i])
+            out[i]._trace_map = fk.trace_map
     return out
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -13,9 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 
 from fibtor.catalog import get_entry
-from fibtor.cli import MAX_SWEEP_ROWS, _parse_grid, main
+from fibtor.cli import MAX_SWEEP_ROWS, _parse_grid, build_parser, main
 from fibtor.errors import InvalidInputError
-from fibtor.fibered import torus_closed_form
+from fibtor.fibered import FiberedKnot, TraceCoordMap, _sorted, torus_closed_form
 
 CMD = [sys.executable, "-m", "fibtor.cli"]
 
@@ -231,6 +232,77 @@ def test_sweep_coordinate_the_knot_lacks(capsys):
     assert json.loads(out) == [{"u": u, "error": "INVALID_INPUT", "message": message}
                                for u in ("0", "1")]
     assert err == ""
+
+
+# sweeps on both catalog knots and on a figure-eight knot file, whose trace
+# map is derived from its monodromy, and single computes on the same knots
+_JACOBIAN_SWEEPS = [
+    ["sweep", "--knot", "trefoil", "--grid", "x=-0.9:1.9:20"],
+    ["sweep", "--knot", "figure_eight", "--grid", "u=-2:2:41"],
+    ["sweep", "--knot-file", "fig8.json", "--grid", "x1=-1:2:7,x2=0.5:0.5:1,x3=-1:1:5"],
+]
+_JACOBIAN_COMPUTES = [
+    ["compute", "--knot", "trefoil", "--x", "1,1,1"],
+    ["compute", "--knot", "figure_eight", "--holonomy", "plus"],
+    ["compute", "--knot-file", "fig8.json", "--x", "3,1.5,3"],
+]
+
+
+@pytest.fixture
+def fig8_file(tmp_path, monkeypatch):
+    """The figure-eight knot file fig8.json, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig8.json").write_text(get_entry("figure_eight").to_json())
+
+
+@pytest.mark.parametrize("argv", _JACOBIAN_SWEEPS, ids=["trefoil", "figure_eight", "file"])
+def test_csv_sweep_computes_no_jacobian(fig8_file, monkeypatch, capsys, argv):
+    # the CSV has no column for the trace-map Jacobian's eigenvalues
+    calls = []
+    jacobian = TraceCoordMap.jacobian
+
+    def counting(self, point):
+        calls.append(point)
+        return jacobian(self, point)
+
+    monkeypatch.setattr(TraceCoordMap, "jacobian", counting)
+    main(argv)
+    out, _ = capsys.readouterr()
+    assert any(line.endswith(",") for line in out.splitlines()[1:])  # a computed row
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", _JACOBIAN_SWEEPS + _JACOBIAN_COMPUTES,
+                         ids=["sweep_trefoil", "sweep_figure_eight", "sweep_file",
+                              "compute_trefoil", "compute_figure_eight", "compute_file"])
+def test_json_reports_carry_the_jacobian_eigenvalues(fig8_file, capsys, argv):
+    main(argv + ["--format", "json"])
+    out, _ = capsys.readouterr()
+    rows = json.loads(out)
+    fk = (FiberedKnot.from_json(pathlib.Path("fig8.json").read_text())
+          if "--knot-file" in argv else get_entry(argv[2]))
+    computed = [row for row in rows if "error" not in row] if argv[0] == "sweep" else [rows]
+    assert computed
+    for row in computed:
+        point = tuple(complex(*z) for z in row["character"])
+        expected = _sorted(np.linalg.eigvals(fk.trace_map.jacobian(point)))
+        assert (json.dumps(row["jacobian_eigenvalues"])
+                == json.dumps([[z.real, z.imag] for z in expected]))
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    # usage text wraps at the terminal width; pin it for both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser() is build_parser()
+    run(capsys, "sweep", "--knot", "trefoil", "--grid", "x=0.1:1.5:3")
+    for argv in (["compute", "--knot", "trefoil", "--x", "1,2,3", "--holonomy", "plus"],
+                 ["frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        _, err = capsys.readouterr()
+        fresh = subprocess.run(CMD + argv, capture_output=True)
+        assert (exc.value.code, err.encode()) == (fresh.returncode, fresh.stderr)
+        assert exc.value.code == 2
 
 
 def test_sweep_empty_grid_rejected(tmp_path, capsys):
