@@ -62,6 +62,7 @@ from .fibered import (
     sample_fixed_locus,
     torus_closed_form,
     wang_exact_sequence,
+    wang_identities,
     wang_product_check,
     wang_sequence_torsion,
 )

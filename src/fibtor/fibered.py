@@ -51,7 +51,8 @@ from .rep import (
     su2_pair,
     twisted_cochain_complex,
 )
-from .torsion import BasedChainComplex, _valid, homology, sign_determined_torsion, torsion
+from .torsion import (BasedChainComplex, _computed, _sign_determined, _valid,
+                      multiplicativity_check, run_alone, torsion)
 from .words import GroupPresentation, Word, inverse_spelling
 
 
@@ -129,11 +130,8 @@ class FiberedKnot:
 
     def longitude_word(self):
         """The boundary of the fiber, prod_i [a_i, b_i], in fiber generators."""
-        letters = []
-        for i in range(self.genus):
-            a, b = 2 * i, 2 * i + 1
-            letters += [(a, 1), (b, 1), (a, -1), (b, -1)]
-        return Word(letters)
+        return Word([(2 * i + j, e) for i in range(self.genus)
+                     for j, e in ((0, 1), (1, 1), (0, -1), (1, -1))])
 
     def monodromy_words(self):
         return [self.monodromy[g] for g in self.fiber_generators]
@@ -187,13 +185,8 @@ def abelianized_monodromy(fk):
     Column j holds the exponent sums of the image of the j-th fiber
     generator, matching the displayed matrices for the catalog knots.
     """
-    n = 2 * fk.genus
-    m = np.zeros((n, n), dtype=int)
-    for j, g in enumerate(fk.fiber_generators):
-        w = fk.monodromy[g]
-        for i in range(n):
-            m[i, j] = w.exponent_sum(i)
-    return m
+    return np.array([[w.exponent_sum(i) for w in fk.monodromy_words()]
+                     for i in range(2 * fk.genus)], dtype=int)
 
 
 def epsilon0(fk):
@@ -440,7 +433,12 @@ def main_theorem_torsions(fk, reps):
     are kept without their tracebacks, whose frames would hold the whole
     stack.
     """
-    out = monodromy_actions(fk, reps)
+    return _reports(fk, reps, monodromy_actions(fk, reps))
+
+
+def _reports(fk, reps, actions):
+    """`main_theorem_torsions` from the actions `monodromy_actions` gives."""
+    out = list(actions)
     rows = [i for i, act in enumerate(out) if isinstance(act, MonodromyAction)]
     evs = np.linalg.eigvals([out[i].quotient for i in rows]) if rows else []
     for i, row_evs in zip(rows, evs):
@@ -574,38 +572,51 @@ def wang_product_check(fk, rep):
     h1 is the generator of H^1 normalized so its fiber restriction is the
     unit eigenvector closing the Wang complex; h2 is the image of that
     eigenvector under the connecting map of the mapping-cone sequence.
+    This is the stack of one of `wang_identities`.
     """
-    return _wang_product(fk, rep, wang_complex(fk, rep), twisted_cochain_complex(rep))
+    return wang_identities(fk, [rep])[0][3]
 
 
-def _wang_product(fk, rep, wang_data, total):
-    """`wang_product_check` from the `wang_complex` result `wang_data` and
-    the twisted cochain complex `total` of `rep`."""
-    wang, act, basis = wang_data
-    hdata = homology(total)
-    if hdata.dims != [0, 1, 1]:
-        raise NoUnitEigenvalueError(
-            "twisted cohomology of the exterior has dims %r, expected [0, 1, 1]"
-            % (hdata.dims,))
+def wang_identities(fk, reps):
+    """The Wang identities at every representation in `reps`: per
+    representation the tuple (wang, report, residual, product) of
+    `wang_sequence_torsion`, `main_theorem_torsion`, the residual of
+    `multiplicativity_check(*wang_exact_sequence(fk, rep))` and
+    `wang_product_check`, with their bits.  One `monodromy_actions` call
+    serves all; each Wang complex and twisted cochain complex is built once,
+    and Tor(C) in the bases h1, h2 is validated against the decomposition
+    the multiplicativity check keeps.  The representations are taken in
+    order, and the first refusal is raised where a loop computing the four
+    values one by one would raise it.
+    """
     n = 2 * fk.genus
-    # normalize h1 so that its restriction to the fiber is the unit eigenvector
-    z = hdata.homology[1][:, 0]
-    restr = act.complement.conj().T @ z[:3 * n]
-    coords = np.linalg.solve(basis, restr)
-    scale = coords[-1]
-    if abs(scale) < 1e-9:
-        raise NoUnitEigenvalueError("H^1 restricts trivially to the fiber")
-    h1 = z / scale
-    # h2: connecting image of the unit eigenvector (cone identification,
-    # oriented to match Tor(C) * Tor(Wang) = -1)
-    unit_cocycle = act.complement @ basis[:, -1]
-    adTi = adjoint(sl2_inverse(rep.image(fk.meridian)))
-    blocks = np.kron(np.eye(n), adTi)
-    h2 = -(blocks @ unit_cocycle)
-    based = BasedChainComplex(
-        total.dims, total.boundaries, direction="cochain",
-        homology_bases=[None, h1[:, None], h2[:, None]], tol=rep.tol)
-    return sign_determined_torsion(based) * torsion(wang)
+    actions = monodromy_actions(fk, reps)
+    out = []
+    for rep, act, report in zip(reps, actions, _reports(fk, reps, actions)):
+        report = _valid(report)
+        wang, _, basis = _wang_complex(act, rep.tol)
+        wang_torsion = torsion(wang)
+        total = twisted_cochain_complex(rep)
+        residual, _ = multiplicativity_check(*_wang_exact_sequence(fk, total))
+        hdata = run_alone(_computed(total.to_chain()))
+        dims = hdata.dims[::-1]  # in the cochain complex's own degrees
+        if dims != [0, 1, 1]:
+            raise NoUnitEigenvalueError("twisted cohomology of the exterior has dims %r, "
+                                        "expected [0, 1, 1]" % (dims,))
+        # normalize h1 so that its restriction to the fiber is the unit
+        # eigenvector (cochain degree 1 is degree 1 of the chain form)
+        z = hdata.homology[1][:, 0]
+        coords = np.linalg.solve(basis, act.complement.conj().T @ z[:3 * n])
+        if abs(coords[-1]) < 1e-9:
+            raise NoUnitEigenvalueError("H^1 restricts trivially to the fiber")
+        h1 = z / coords[-1]
+        # h2: connecting image of the unit eigenvector (cone identification,
+        # oriented to match Tor(C) * Tor(Wang) = -1)
+        adTi = adjoint(sl2_inverse(rep.image(fk.meridian)))
+        h2 = -(np.kron(np.eye(n), adTi) @ (act.complement @ basis[:, -1]))
+        exterior = run_alone(_sign_determined(total, [None, h1[:, None], h2[:, None]]))
+        out.append((wang_torsion, report, residual, exterior * wang_torsion))
+    return out
 
 
 # -- trace-coordinate machinery (genus one) -----------------------------------

@@ -134,7 +134,6 @@ class Representation:
         self.tol = tol
         self._inverses = (list(inverses) if inverses is not None
                           else [sl2_inverse(m) for m in self.images])
-        self._adjoints = {}
         self.prefix_stacks = dict(prefix_stacks or {})
         if check:
             for m in self.images:
@@ -168,11 +167,7 @@ class Representation:
         return stack
 
     def adjoint_of_word(self, w):
-        w = w.reduce()
-        key = w.letters
-        if key not in self._adjoints:
-            self._adjoints[key] = adjoint(self.evaluate_word(w))
-        return self._adjoints[key]
+        return adjoint(self.evaluate_word(w.reduce()))
 
     def evaluate_group_ring(self, elem):
         """Linear extension of Ad o rho over the group ring: a 3x3 matrix."""

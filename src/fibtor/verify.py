@@ -15,11 +15,6 @@ from .catalog import figure_eight, holonomy_representation, trefoil
 from .errors import FibtorError
 from .fibered import (
     _normal_form_pair,
-    _report,
-    _wang_complex,
-    _wang_exact_sequence,
-    _wang_product,
-    eigenvalues_excluding_one,
     epsilon0,
     lift_characters_to_reps,
     main_theorem_torsion,
@@ -28,6 +23,7 @@ from .fibered import (
     random_conjugate,
     sample_fixed_locus,
     torus_closed_form,
+    wang_identities,
 )
 from .rep import SL2C, SU2, Representation, commutator_trace, twisted_cochain_complex
 from .torsion import (
@@ -39,7 +35,6 @@ from .torsion import (
     draw_invertible,
     homologies,
     invertibles_from,
-    multiplicativity_check,
     run_alone,
     run_stack,
     torsion,
@@ -100,15 +95,9 @@ def _build_based_complex(draw, mats, invs):
         for k, v in enumerate(diagonals[i - 1]):
             d[row0 + k, col0 + k] = v
         ds.append(d)
-    hb = []
-    for i in range(n + 1):
-        z = np.zeros((dims[i], hdims[i]), dtype=complex)
-        for k in range(hdims[i]):
-            z[k, k] = 1.0
-        hb.append(z)
     # random changes of basis
     nds = [invs[i - 1] @ ds[i - 1] @ mats[i] for i in range(1, n + 1)]
-    nhb = [invs[i] @ hb[i] for i in range(n + 1)]
+    nhb = [invs[i] @ np.eye(dims[i], hdims[i], dtype=complex) for i in range(n + 1)]
     return BasedChainComplex(dims, nds, direction="chain", homology_bases=nhb)
 
 
@@ -164,15 +153,8 @@ def _block_sum(c1, c2, mixes):
             z = z @ mixes[i]
         hb.append(z)
     total = BasedChainComplex(dims, ds, direction="chain", homology_bases=hb)
-    incl, proj = [], []
-    for i in range(n + 1):
-        m1, m2 = c1.dims[i], c2.dims[i]
-        e = np.zeros((dims[i], m1), dtype=complex)
-        e[:m1, :] = np.eye(m1)
-        p = np.zeros((m2, dims[i]), dtype=complex)
-        p[:, m1:] = np.eye(m2)
-        incl.append(e)
-        proj.append(p)
+    incl = [np.eye(dims[i], c1.dims[i], dtype=complex) for i in range(n + 1)]
+    proj = [np.eye(c2.dims[i], dims[i], c1.dims[i], dtype=complex) for i in range(n + 1)]
     return c1, total, c2, incl, proj
 
 
@@ -458,19 +440,12 @@ def check_wang_identities(rng, perturb=False):
     fk_f, _, reps_f = _fig8_samples(4, rng)
     for fk, reps in ((fk_t, reps_t), (fk_f, reps_f)):
         e0 = epsilon0(fk)
-        # each sample's monodromy action, Wang complex and twisted cochain
-        # complex are built once and serve all four identities
-        for rep, act in zip(reps, _each(monodromy_actions(fk, reps))):
-            report = _report(fk, eigenvalues_excluding_one(act.quotient), "cohomology")
-            wang_data = _wang_complex(act, rep.tol)
-            wang = torsion(wang_data[0])
+        for wang, report, residual, product in wang_identities(fk, reps):
             direct = np.prod([1.0 - lam for lam in report.eigenvalues])
             worst_prod = max(worst_prod, abs(wang - direct))
             worst_pair = max(worst_pair, abs(wang * report.torsion + e0))
-            total = twisted_cochain_complex(rep)
-            residual, _ = multiplicativity_check(*_wang_exact_sequence(fk, total))
             worst_mult = max(worst_mult, residual)
-            worst_norm = max(worst_norm, abs(_wang_product(fk, rep, wang_data, total) + 1.0))
+            worst_norm = max(worst_norm, abs(product + 1.0))
     ok = max(worst_prod, worst_pair, worst_mult, worst_norm) <= 1e-8
     return ok, ("|wang - prod| %.2e, |wang*main + eps0| %.2e, "
                 "mult residual %.2e, |Tor(C)Tor(W) + 1| %.2e" %

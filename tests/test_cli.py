@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import numpy as np
 
+from fibtor import cli as cli_module
 from fibtor.catalog import get_entry
 from fibtor.cli import MAX_SWEEP_ROWS, _parse_grid, build_parser, main
 from fibtor.errors import InvalidInputError
@@ -211,6 +212,20 @@ def test_sweep_json_rows(capsys):
                        "message": "u = 1 is off the locus"}
     assert rows[2]["error"] == "REDUCIBLE_CHARACTER"
     assert set(rows[2]) == {"u", "error", "message"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_stacks_print_the_bytes_of_one_stack(monkeypatch, capsys, fmt):
+    # rows 30 (u = 1, off the locus) and 40 (u = 2, reducible) are refused;
+    # in stacks of 3 and of 5 rows, row 30 opens a stack, and row 40 ends a
+    # stack or is a stack alone
+    argv = ["sweep", "--knot", "figure_eight", "--grid", "u=-2:2:41", "--format", fmt]
+    assert cli_module.SWEEP_STACK_ROWS >= 41
+    whole = run(capsys, *argv, expect=1)
+    assert whole[0].count("INVALID_INPUT") == whole[0].count("REDUCIBLE_CHARACTER") == 1
+    for rows in (3, 5):
+        monkeypatch.setattr(cli_module, "SWEEP_STACK_ROWS", rows)
+        assert run(capsys, *argv, expect=1) == whole
 
 
 def test_sweep_character_coordinates(capsys):

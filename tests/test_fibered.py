@@ -43,6 +43,7 @@ from fibtor import (
     trefoil,
     twisted_cochain_complex,
     wang_exact_sequence,
+    wang_identities,
     wang_product_check,
     wang_sequence_torsion,
 )
@@ -281,6 +282,35 @@ def test_wang_product_normalization():
                    (figure_eight(), fig8_locus_point(1.7 - 0.8j))):
         rep = lift_character_to_rep(fk, pt)
         assert wang_product_check(fk, rep) == pytest.approx(-1.0, abs=1e-9)
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+def test_wang_identities_match_the_one_by_one_values():
+    for fk, pts in ((trefoil(), [(0.4, 0.4, 0.4), (1.1, 1.1, 1.1), (1.4, 1.4, 1.4)]),
+                    (figure_eight(), [fig8_locus_point(u)
+                                      for u in (0.5, 2.5 + 0.4j, -2.0, 1.7 - 0.8j)])):
+        reps = lift_characters_to_reps(fk, pts)
+        stacked = wang_identities(fk, reps)
+        assert len(stacked) == len(reps)
+        for rep, (wang, report, residual, product) in zip(reps, stacked):
+            assert _bits(wang) == _bits(wang_sequence_torsion(fk, rep))
+            alone = main_theorem_torsion(fk, rep)
+            assert json.dumps(report.to_dict()) == json.dumps(alone.to_dict())
+            assert _bits(residual) == _bits(
+                multiplicativity_check(*wang_exact_sequence(fk, rep))[0])
+            assert _bits(product) == _bits(wang_product_check(fk, rep))
+
+
+def test_wang_identities_raise_the_first_refusal_in_order():
+    fk = figure_eight()
+    rep = lift_character_to_rep(fk, fig8_locus_point(0.5))
+    first, second = ReducibleCharacterError("first"), NotFixedPointError("second")
+    with pytest.raises(ReducibleCharacterError, match="first"):
+        wang_identities(fk, [rep, first, second])
+    assert wang_identities(fk, []) == []
 
 
 @pytest.mark.parametrize("offset", [2e-9, 1e-7])

@@ -23,7 +23,16 @@ from fibtor import (
 )
 from fibtor.linalg import column_space, nullspace, numerical_rank
 from fibtor.rep import twisted_cochain_complex
-from fibtor.torsion import HomologyData, random_invertible, sign_parity
+from fibtor.torsion import (
+    HomologyData,
+    _det,
+    _lstsq,
+    _scaled_unitaries,
+    _singular_values,
+    _svd,
+    random_invertible,
+    sign_parity,
+)
 from fibtor.verify import CHECKS, random_based_complex, random_block_sum_ses
 
 
@@ -292,18 +301,41 @@ def test_each_entry_point_decomposes_each_complex_once(monkeypatch):
     # every decomposition is a `_homology` step generator: count the ones
     # made
     monkeypatch.setattr(module, "_homology", counting)
+    fk = figure_eight()
+    wang = wang_exact_sequence(fk, holonomy_representation(fk, 1))
+    assert all(c.homology_bases is None for c in wang[:3])
     # a complex is decomposed on first use and keeps the result: sub, total,
     # quotient and the long exact sequence make 4 complexes, and a second
-    # check on the same sequence decomposes only its new long exact sequence
+    # check on the same sequence decomposes only its new long exact sequence,
+    # whether its complexes carry homology bases or not (the Wang sequence)
     for run, expected in ((lambda: torsion(cx), 1),
                           (lambda: torsion(cx, rng=rng), 0),
                           (lambda: sign_determined_torsion(cx), 0),
                           (lambda: sign_determined_torsion(twin), 1),
                           (lambda: multiplicativity_check(*ses), 4),
-                          (lambda: multiplicativity_check(*ses), 1)):
+                          (lambda: multiplicativity_check(*ses), 1),
+                          (lambda: multiplicativity_check(*wang), 4),
+                          (lambda: multiplicativity_check(*wang), 1)):
         calls.clear()
         run()
         assert len(calls) == expected
+
+
+def test_wang_identities_decompose_five_complexes_per_sample(monkeypatch):
+    module = sys.modules["fibtor.torsion"]
+    calls = []
+    original = module._homology
+
+    def counting(cx):
+        calls.append(cx)
+        return original(cx)
+
+    monkeypatch.setattr(module, "_homology", counting)
+    # 8 samples, each decomposing its Wang complex, the sub, total and
+    # quotient of its Wang exact sequence and their long exact sequence; the
+    # exterior's torsion in the tied bases reads the total's decomposition
+    assert dict(CHECKS)["wang_identities"](np.random.default_rng(0))[0]
+    assert len(calls) == 40
 
 
 # the numpy calls the two stacked random-complex checks make at seed 0, one
@@ -602,3 +634,37 @@ def test_torsion_core_check_details_are_pinned(seed):
         assert checks[name](np.random.default_rng(seed)) == (True, detail), name
     assert checks["cohomology_dims"](np.random.default_rng(seed)) == (
         True, "torus (1,2,1) x10; free rank 2 (0,3) x10; exteriors (0,1,1) x8")
+
+
+# -- numpy's LAPACK gufuncs, called directly -----------------------------------
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _complex_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (5, 3), (3, 5), (4, 4)])
+def test_lapack_wrappers_give_numpys_bits(m, n):
+    rng = np.random.default_rng(m * 10 + n)
+    a = _complex_stack(rng, 6, m, n)
+    for got, want in zip(_svd(a), np.linalg.svd(a)):
+        assert _same_bits(got, want)
+    assert _same_bits(_singular_values(a), np.linalg.svd(a, compute_uv=False))
+    square = _complex_stack(rng, 6, n, n)
+    assert _same_bits(_det(square), np.linalg.det(square))
+    draw = rng.standard_normal((6, n, n)), rng.standard_normal((6, n, n)), rng.standard_normal((6, n))
+    q = np.linalg.qr(draw[0] + 1j * draw[1])[0] * np.exp(0.3 * draw[2])[..., None, :]
+    assert _same_bits(_scaled_unitaries(*draw), q)
+    for rows, rhs in ((m, 2), (m, 0), (0, 2), (0, 0)):
+        a = _complex_stack(rng, 6, rows, n)
+        # a last column this close to the first is cut by lstsq's rcond
+        a[..., -1] = a[..., 0] + 1e-14 * a[..., -1]
+        b = _complex_stack(rng, 6, rows, rhs)
+        x = _lstsq(a, b)
+        for k in range(6):
+            assert _same_bits(x[k], np.linalg.lstsq(a[k], b[k], rcond=None)[0])
