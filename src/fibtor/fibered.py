@@ -51,8 +51,8 @@ from .rep import (
     su2_pair,
     twisted_cochain_complex,
 )
-from .torsion import (BasedChainComplex, _computed, _sign_determined, _valid,
-                      multiplicativity_check, run_alone, torsion)
+from .torsion import (BasedChainComplex, _computed, _det, _sign_determined, _svd,
+                      _valid, multiplicativity_check, run_alone, torsion)
 from .words import GroupPresentation, Word, inverse_spelling
 
 
@@ -222,29 +222,20 @@ class MonodromyAction:
 TORSION_STACK_LETTERS = 1 << 14
 
 
-def _fox_stack(reps, letters, n):
-    """The (n, N, 3, 3) Fox/adjoint blocks of the letters at the N
-    representations, from their prefix stacks; N = 1 takes the one-point
-    path."""
-    stacks = [rep.prefix_stack(letters) for rep in reps]
-    if len(stacks) == 1:
-        return fox_adjoint_blocks(stacks[0], letters, n)[:, None]
-    return fox_adjoint_blocks(np.stack(stacks, 1), letters, n)
-
-
 def _action_chunk(fk, reps, words):
     """One chunk of `monodromy_actions`.  Every row runs the whole pass: one
-    batched SVD of d0, one Fox/adjoint pass per monodromy word over the
-    prefix stacks, one Ad(T) product, one B^1-preservation product, one SVD
-    of B^1 for its complement and one quotient product.  Only then is each
-    row decided, under its own cutoff."""
+    batched SVD of d0, one Fox/adjoint pass over the prefix stacks of all
+    the monodromy words, one Ad(T) product, one B^1-preservation product,
+    one SVD of B^1 for its complement and one quotient product.  Only then
+    is each row decided, under its own cutoff."""
     n = len(fk.fiber_generators)
     d0 = coboundary_matrix([rep.images[:n] for rep in reps])
-    u, svals, _ = np.linalg.svd(d0)
+    u, svals, _ = _svd(d0)
     bspace = u[:, :, :3]
     adT = adjoint(np.array([rep.image(fk.meridian) for rep in reps]))
     # block (j, i) is Ad(T) Phi(d phi(x_j) / d x_i), at every row
-    blocks = np.array([_fox_stack(reps, w, n) for w in words])
+    blocks = fox_adjoint_blocks(
+        [(np.stack([rep.prefix_stack(w) for rep in reps], 1), w) for w in words], n)
     blocks = adT[:, None, None] @ blocks.transpose(2, 0, 1, 3, 4)
     full = blocks.swapaxes(2, 3).reshape(len(reps), 3 * n, 3 * n)
     image = full @ bspace
@@ -252,7 +243,7 @@ def _action_chunk(fk, reps, words):
     # the quotient is modelled on the orthogonal complement of B^1, the
     # trailing 3n - 3 left singular vectors of its basis; the induced
     # eigenvalues do not depend on that choice
-    comp = np.linalg.svd(bspace)[0][:, :, 3:]
+    comp = _svd(bspace)[0][:, :, 3:]
     quotient = comp.conj().swapaxes(1, 2) @ full @ comp
     return [_decided(*row) for row in zip(reps, svals, moved, full, d0, comp, quotient)]
 
@@ -849,10 +840,10 @@ def lift_characters_to_reps(fk, points, flavor=SL2C, tol=RANK_TOL):
         moved = np.array([s[-1] for s in stacks])
         finite = np.isfinite(moved).all(axis=(0, 2, 3))
         moved[:, ~finite] = np.eye(2)
-        _, svals, vh = np.linalg.svd(_intertwiner_systems(moved, np.array([A, B])))
+        _, svals, vh = _svd(_intertwiner_systems(moved, np.array([A, B])))
         # the kernel vector holds T column by column
         T = vh[:, -1].conj().reshape(-1, 2, 2).swapaxes(1, 2)
-        dets = np.linalg.det(T)
+        dets = _det(T)
         T = T / np.array([cmath.sqrt(det) for det in dets])[:, None, None]
         images, inverses = (A, B, T), inverses + (sl2_inverse(T),)
         relators = {r.letters: prefix_products(images, inverses, r.letters)

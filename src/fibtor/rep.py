@@ -29,7 +29,6 @@ _H = np.array([[1, 0], [0, -1]], dtype=complex)
 _E = np.array([[0, 1], [0, 0]], dtype=complex)
 _F = np.array([[0, 0], [1, 0]], dtype=complex)
 SL2_BASIS = (_H, _E, _F)
-_SL2_STACK = np.array(SL2_BASIS)
 
 
 def is_unimodular(m):
@@ -61,9 +60,18 @@ def adjoint(g):
     matrix of determinant 1 for one g in SL2(C), or a (..., 3, 3) stack for a
     stack (..., 2, 2).  Column j holds the coordinates (entries 00, 01, 10)
     of (g b_j) g^-1 for the basis element b_j.
+
+    A stack of P matrices takes 3 + P BLAS products: the rows of all the g
+    as one tall (2P, 2) matrix times each b_j, then per matrix its three
+    g b_j as one (6, 2) matrix times g^-1.  Each entry is the 2x2 product's,
+    signed zeros included, as the tests check by bytes; the operands are
+    C-contiguous, since other strides leave BLAS for a loop with other bits.
+    One (2, 2) @ (2, 6) product g [H|E|F] gives other signed zeros.
     """
     g = np.asarray(g, dtype=complex)
-    images = g[..., None, :, :] @ _SL2_STACK @ sl2_inverse(g)[..., None, :, :]
+    rows = g.reshape(-1, 2)
+    gb = np.stack([(rows @ b).reshape(-1, 2, 2) for b in SL2_BASIS], axis=1)
+    images = gb.reshape(-1, 6, 2) @ sl2_inverse(g).reshape(-1, 2, 2)
     return images.reshape(g.shape[:-2] + (3, 4))[..., :3].swapaxes(-1, -2)
 
 
@@ -88,11 +96,12 @@ def prefix_products(images, inverses, letters):
     entry 0 the identity.  Each entry is the one before times one generator
     image (or its inverse): the same products in the same order as
     `Representation.evaluate_word`, so at every point the last entry is
-    that evaluation bit for bit.  One loop walks the letters: at N > 1 each
-    letter is one `np.matmul` over all points; at one point it is one
-    `np.dot` into the stack, with less call overhead than `np.matmul` on a
-    stack of one.  Both are one BLAS 2x2 product per point, and the tests
-    compare them by bytes.
+    that evaluation bit for bit.  One loop walks the letters beside the
+    entries' views, taken once, and writes each product into the next view
+    (`out` passed by position): at N > 1 each letter is one `np.matmul`
+    over all points; at one point it is one `np.dot`, a 2x2 call with less
+    overhead than a stacked `np.matmul`.  Both are one BLAS 2x2 product per
+    point, and the tests compare them by bytes.
     """
     shape = np.shape(images[0])
     out = np.empty((len(letters) + 1,) + shape, dtype=complex)
@@ -103,8 +112,9 @@ def prefix_products(images, inverses, letters):
         rows = out.reshape(-1, 2, 2)
         factors = (None,) + tuple([m[0] for m in ms] for ms in factors[1:])
     product = np.dot if rows.ndim == 3 else np.matmul
-    for k, (g, e) in enumerate(letters):
-        product(rows[k], factors[e][g], out=rows[k + 1])
+    rows = list(rows)
+    for src, dst, (g, e) in zip(rows, rows[1:], letters):
+        product(src, factors[e][g], dst)
     return out
 
 
@@ -213,45 +223,53 @@ def coboundary_matrix(images):
 
 
 @functools.lru_cache(maxsize=256)
-def _letter_arrays(letters):
-    """The generator indices of a word's letters, the mask of its inverse
-    letters, and the prefix each letter's Fox term is taken at: read-only
-    arrays, built once per word since a knot's words never change."""
-    gens, exps = np.array(letters).T
-    inverse = exps == -1
-    arrays = gens, inverse, np.arange(len(letters)) + inverse
+def _letter_arrays(words):
+    """For the letters of all the words, in order: the word each lies in,
+    its generator index, the mask of inverse letters, the prefix its Fox
+    term is taken at (as a row of the words' prefix stacks concatenated) and
+    its place in its word from 1.  Read-only arrays, built once per tuple of
+    words since a knot's words never change."""
+    starts = np.cumsum([0] + [len(w) + 1 for w in words])
+    table = np.array([(j, g, e, starts[j] + k + (e == -1), k + 1)
+                      for j, w in enumerate(words) for k, (g, e) in enumerate(w)],
+                     dtype=int).reshape(-1, 5)
+    word, gens, exps, prefixes, place = table.T
+    arrays = word, gens, exps == -1, prefixes, place
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def fox_adjoint_blocks(stack, letters, n):
-    """All Fox/adjoint blocks of a freely reduced word over n generators,
-    from its prefix stack (`prefix_products` of the letters) at one point or
-    at N points: an (n, 3, 3) array whose i-th entry is Phi(d word / d g_i),
-    or (n, N, 3, 3) for an (L + 1, N, 2, 2) stack.
+def fox_adjoint_blocks(words, n):
+    """All Fox/adjoint blocks of W freely reduced words over n generators,
+    from (prefix stack, letters) pairs, the stack being `prefix_products` of
+    the letters at one point or at N points: a (W, n, 3, 3) array whose
+    (w, i) entry is Phi(d word_w / d g_i), or (W, n, N, 3, 3) for
+    (L + 1, N, 2, 2) stacks.
 
     A letter g contributes +Ad of the prefix before it, a letter g^-1
-    contributes -Ad of the prefix after it.  The adjoints of all these
-    prefixes are formed in one batched step and summed into each block in
-    word order.  This repeats the arithmetic of
-    `rep.evaluate_group_ring(fox_derivative(word, i))` bit for bit: the
-    prefixes of a reduced word are reduced and are built by the same
-    left-to-right products as `evaluate_word`, and the group-ring terms are
-    sorted in word order.  The cost is linear in the word length.
+    contributes -Ad of the prefix after it.  The adjoints of the prefixes of
+    all the words' letters are one `adjoint` call, and one running sum along
+    the letter axis adds them into each block in word order.  This repeats
+    the arithmetic of `rep.evaluate_group_ring(fox_derivative(word, i))` bit
+    for bit: the prefixes of a reduced word are reduced and are built by the
+    same left-to-right products as `evaluate_word`, and the group-ring terms
+    are sorted in word order.  The cost is linear in the words' length.
     """
-    points = np.shape(stack)[1:-2]
-    if not letters:
-        return np.zeros((n,) + points + (3, 3), dtype=complex)
-    gens, inverse, prefixes = _letter_arrays(letters)
-    terms = adjoint(stack[prefixes])
-    np.negative(terms, out=terms, where=inverse.reshape((-1,) + (1,) * (terms.ndim - 1)))
-    # row i holds generator i's terms in word order and +0.0 elsewhere; its
-    # running sum starts at +0.0, so the zeros change no bit and the result
-    # is evaluate_group_ring's accumulation exactly
-    spread = np.zeros((n, len(letters) + 1) + terms.shape[1:], dtype=complex)
-    spread[gens, np.arange(1, len(letters) + 1)] = terms
-    return np.cumsum(spread, axis=1)[:, -1]
+    stacks = [stack for stack, _ in words]
+    letters = tuple(w for _, w in words)
+    points = np.shape(stacks[0])[1:-2] if stacks else ()
+    longest = max(map(len, letters), default=0)
+    # row (w, i) holds generator i's terms of word w in word order and +0.0
+    # elsewhere; its running sum starts at +0.0, so the zeros change no bit
+    # and the result is evaluate_group_ring's accumulation exactly
+    spread = np.zeros((len(words), n, longest + 1) + points + (3, 3), dtype=complex)
+    word, gens, inverse, prefixes, place = _letter_arrays(letters)
+    if len(gens):
+        terms = adjoint(np.concatenate(stacks)[prefixes])
+        np.negative(terms, out=terms, where=inverse.reshape((-1,) + (1,) * (terms.ndim - 1)))
+        spread[word, gens, place] = terms
+    return np.cumsum(spread, axis=2)[:, :, -1]
 
 
 def twisted_cochain_complex(rep):
@@ -275,8 +293,8 @@ def twisted_cochain_complex(rep):
     d0 = coboundary_matrix(rep.images)
     # block (k, i) is Phi(d r_k / d g_i)
     words = [r.reduce().letters for r in presentation.relators]
-    blocks = np.array([fox_adjoint_blocks(rep.prefix_stack(w), w, ng) for w in words])
-    d1 = blocks.reshape(nr, ng, 3, 3).swapaxes(1, 2).reshape(3 * nr, 3 * ng)
+    blocks = fox_adjoint_blocks([(rep.prefix_stack(w), w) for w in words], ng)
+    d1 = blocks.swapaxes(1, 2).reshape(3 * nr, 3 * ng)
     return BasedChainComplex([3, 3 * ng, 3 * nr], [d0, d1],
                              direction="cochain", tol=rep.tol)
 

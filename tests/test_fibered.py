@@ -58,6 +58,7 @@ from fibtor.cli import main as cli_main
 from fibtor import rep as rep_module
 from fibtor.linalg import column_space
 from fibtor.verify import multiset_distance
+from knots import fig8_locus_point, figure_eight_power
 from sympy_traces import (X, fixed_locus_relations, jets, polynomials,
                           preserves_boundary_trace)
 
@@ -68,11 +69,6 @@ rng = np.random.default_rng(99)
 FIG8_TRACE_MAP = (X[2], X[1] * X[2] - X[0], X[1] * X[2] ** 2 - X[0] * X[2] - X[1])
 # the map of the identity monodromy a -> a, b -> b
 IDENTITY_MAP = TraceCoordMap(Word([(0, 1)]), Word([(1, 1)]))
-
-
-def fig8_locus_point(u):
-    u = complex(u)
-    return (u, u / (u - 1.0), u)
 
 
 # -- monodromy bookkeeping -------------------------------------------------------
@@ -481,7 +477,7 @@ def test_jacobian_on_long_words_matches_60_digits():
     # figure_eight^k up to k = 5 (233 letters): no cancellation grows with
     # the word, as it did when the expanded polynomials were evaluated
     for k in range(1, 6):
-        tm = TraceCoordMap.from_monodromy(_figure_eight_power(k))
+        tm = TraceCoordMap.from_monodromy(figure_eight_power(k))
         for u in (-1.2, -0.7 + 0.5j, 0.6 + 0.3j, 0.3 + 0.7j):
             point = fig8_locus_point(u)
             want = _mp_jacobian(tm, point)
@@ -490,7 +486,7 @@ def test_jacobian_on_long_words_matches_60_digits():
 
 def test_long_word_jacobian_eigenvalues_match_the_cohomology_route():
     # figure_eight^5 read from a knot file, as compute reads it
-    fk = FiberedKnot.from_json(_figure_eight_power(5).to_json())
+    fk = FiberedKnot.from_json(figure_eight_power(5).to_json())
     for u in (-1.2, -0.7 + 0.5j, 0.6 + 0.3j, 0.3 + 0.7j):
         report = main_theorem_torsion(fk, lift_character_to_rep(fk, fig8_locus_point(u)))
         scale = max(1.0, max(map(abs, report.eigenvalues)))
@@ -508,24 +504,6 @@ def test_jacobian_torsion_matches_pipeline():
     assert jac.torsion == pytest.approx(coh.torsion, abs=1e-9)
 
 
-def _monodromy_power(fk, k):
-    """Images of the fiber generators under phi^k, by substituting phi into
-    every letter k times."""
-    phi = fk.monodromy_words()
-    images = [Word([(g, 1)]) for g in range(len(phi))]
-    for _ in range(k):
-        images = [Word([x for g, e in w
-                        for x in (phi[g] if e == 1 else phi[g].inverse())])
-                  for w in images]
-    return dict(zip(fk.fiber_generators, images))
-
-
-def _figure_eight_power(k):
-    fk = figure_eight()
-    return FiberedKnot("figure_eight^%d" % k, 1, fk.fiber_generators,
-                       _monodromy_power(fk, k), check_fibered=False)
-
-
 def test_monodromy_power_oracle():
     # phi^k acts on H^1(F) with eigenvalues 1, mu_i^k, so
     # T(phi^k) = -sign det(I - M^k) prod 1/(1 - mu_i^k); the mu_i come from
@@ -539,7 +517,7 @@ def test_monodromy_power_oracle():
         assert np.max(np.abs(mus)) <= 3.0
         for k in range(1, 9):
             assert np.min(np.abs(1.0 - mus ** k)) >= 0.1
-            powered = _figure_eight_power(k)
+            powered = figure_eight_power(k)
             det = round(np.linalg.det(np.eye(2) - np.linalg.matrix_power(m, k)))
             expected = -np.sign(det) * np.prod(1.0 / (1.0 - mus ** k))
             rep = lift_character_to_rep(powered, point)
@@ -553,7 +531,7 @@ def _lifted_cases():
     return [(fk, lift_character_to_rep(fk, point))
             for fk, point in ((trefoil(), (0.4, 0.4, 0.4)),
                               (figure_eight(), fig8_locus_point(0.6 + 0.3j)),
-                              (_figure_eight_power(5), fig8_locus_point(-1.2)))]
+                              (figure_eight_power(5), fig8_locus_point(-1.2)))]
 
 
 def test_relator_defect_is_the_reference_evaluation():
@@ -597,7 +575,7 @@ def test_each_word_is_walked_once_per_representation(monkeypatch):
 
     monkeypatch.setattr(rep_module, "prefix_products", counting)
     monkeypatch.setattr(fibered_module, "prefix_products", counting)
-    fk = _figure_eight_power(5)
+    fk = figure_eight_power(5)
     assert sum(map(len, fk.monodromy_words())) == 233
     main_theorem_torsion(fk, lift_character_to_rep(fk, fig8_locus_point(-1.2)))
     assert sorted(map(len, walked)) == sorted(
@@ -709,7 +687,7 @@ def _one_rep_action(fk, rep):
 def _mixed_torsion_cases():
     """(home knot, error code or "ok", representation) on the trefoil, the
     figure-eight and figure_eight^5, with every refusal of the torsion half."""
-    tref, fig8, fig8_5 = trefoil(), figure_eight(), _figure_eight_power(5)
+    tref, fig8, fig8_5 = trefoil(), figure_eight(), figure_eight_power(5)
     cases = [(tref, "ok", r) for r in lift_characters_to_reps(
         tref, [(x, x, x) for x in (0.4, 1.5, 2.5 + 0.5j)])]
     fig8_reps = lift_characters_to_reps(fig8, [fig8_locus_point(u)
@@ -975,13 +953,15 @@ def test_block_matrices_place_each_fox_block():
         full = monodromy_action(fk, rep).full
         adT = rep_module.adjoint(rep.image(fk.meridian))
         for j, w in enumerate(fk.monodromy_words()):
-            blocks = rep_module.fox_adjoint_blocks(rep.prefix_stack(w.letters), w.letters, ng)
+            blocks = rep_module.fox_adjoint_blocks(
+                [(rep.prefix_stack(w.letters), w.letters)], ng)[0]
             for i, blk in enumerate(blocks[:n]):
                 assert full[3 * j:3 * j + 3, 3 * i:3 * i + 3].tobytes() == (adT @ blk).tobytes()
         d1 = twisted_cochain_complex(rep).boundaries[1]
         assert d1.shape == (3 * len(rep.presentation.relators), 3 * ng)
         for k, r in enumerate(rep.presentation.relators):
-            blocks = rep_module.fox_adjoint_blocks(rep.prefix_stack(r.letters), r.letters, ng)
+            blocks = rep_module.fox_adjoint_blocks(
+                [(rep.prefix_stack(r.letters), r.letters)], ng)[0]
             for i, blk in enumerate(blocks):
                 assert d1[3 * k:3 * k + 3, 3 * i:3 * i + 3].tobytes() == blk.tobytes()
     # a presentation without relators gives an empty d1 with one column per

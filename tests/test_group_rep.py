@@ -20,6 +20,7 @@ from fibtor import (
     fox_derivative,
     homology,
     lift_character_to_rep,
+    lift_characters_to_reps,
     su2_pair,
     trefoil,
     twisted_cochain_complex,
@@ -31,6 +32,8 @@ from fibtor.rep import (
     prefix_products,
     sl2_inverse,
 )
+from fibtor.fibered import _normal_form_pair, sample_fixed_locus
+from knots import fig8_locus_point, figure_eight_power
 
 rng = np.random.default_rng(2024)
 
@@ -206,8 +209,8 @@ def _pad_with_cancelling_pairs(gen, word, n, count):
 def _fox_blocks(rep, word):
     """The Fox/adjoint blocks of a word from the representation's prefix stack."""
     letters = word.reduce().letters
-    return fox_adjoint_blocks(rep.prefix_stack(letters), letters,
-                              rep.presentation.generator_count)
+    return fox_adjoint_blocks([(rep.prefix_stack(letters), letters)],
+                              rep.presentation.generator_count)[0]
 
 
 def test_fox_adjoint_blocks_equal_group_ring_path():
@@ -285,11 +288,77 @@ def test_fox_adjoint_blocks_stacked_match_each_point():
     inverses = [sl2_inverse(m) for m in images]
     for length in (0, 1, 5, 60):
         letters = _random_reduced_word(gen, 3, length).letters
-        stacked = fox_adjoint_blocks(prefix_products(images, inverses, letters), letters, 3)
+        stacked = fox_adjoint_blocks([(prefix_products(images, inverses, letters), letters)], 3)[0]
         assert stacked.shape == (3, 4, 3, 3)
         for j, rep in enumerate(reps):
-            alone = fox_adjoint_blocks(rep.prefix_stack(letters), letters, 3)
+            alone = fox_adjoint_blocks([(rep.prefix_stack(letters), letters)], 3)[0]
             assert stacked[:, j].tobytes() == alone.tobytes()
+
+
+def _figure_eight_fifth_reps():
+    """figure_eight^5 lifted at 64 figure-eight locus points of a grid, and
+    its words: the 89- and 144-letter fiber words, an empty word and the
+    reduced relators."""
+    fk = figure_eight_power(5)
+    us = [complex(a, b) for a in np.linspace(-1.5, 0.4, 8) for b in np.linspace(0.2, 1.6, 8)]
+    reps = lift_characters_to_reps(fk, [fig8_locus_point(u) for u in us])
+    assert all(isinstance(rep, Representation) for rep in reps)
+    short, long = (w.letters for w in fk.monodromy_words())
+    assert (len(short), len(long)) == (89, 144)
+    relators = [r.reduce().letters for r in fk.presentation().relators]
+    return reps, [short, (), long] + relators
+
+
+def test_one_fox_pass_matches_group_ring_path_on_long_words():
+    # all the words in one call, at one point, as a stack of one and at 64
+    # points: each block is evaluate_group_ring's Fox derivative, compared
+    # by bytes (array_equal would let -0.0 stand for +0.0)
+    reps, words = _figure_eight_fifth_reps()
+    ng = reps[0].presentation.generator_count
+
+    def blocks(rep, stack_of_one=False):
+        pairs = [(rep.prefix_stack(w), w) for w in words]
+        if stack_of_one:
+            return fox_adjoint_blocks([(s[:, None], w) for s, w in pairs], ng)[:, :, 0]
+        return fox_adjoint_blocks(pairs, ng)
+
+    stacked = fox_adjoint_blocks(
+        [(np.stack([rep.prefix_stack(w) for rep in reps], 1), w) for w in words], ng)
+    assert stacked.shape == (len(words), ng, len(reps), 3, 3)
+    for k, rep in enumerate(reps):
+        alone = blocks(rep)
+        assert alone.shape == (len(words), ng, 3, 3)
+        assert stacked[:, :, k].tobytes() == alone.tobytes()
+        if k % 21 == 0:  # the reference costs ~80 ms a point
+            assert blocks(rep, stack_of_one=True).tobytes() == alone.tobytes()
+            for j, w in enumerate(words):
+                for i in range(ng):
+                    reference = rep.evaluate_group_ring(fox_derivative(Word(w), i))
+                    assert alone[j, i].tobytes() == reference.tobytes()
+    assert fox_adjoint_blocks([], ng).shape == (0, ng, 3, 3)
+
+
+def test_prefix_products_match_evaluate_word_on_long_words():
+    # the 233 letters of figure_eight^5's fiber words at one point (every
+    # prefix), as a stack of one and at 64 points (the whole word at each)
+    reps, words = _figure_eight_fifth_reps()
+    images = [np.array([rep.images[g] for rep in reps]) for g in range(3)]
+    inverses = [sl2_inverse(m) for m in images]
+    one = reps[0]
+    for w in words[:3]:
+        alone = prefix_products(one.images, one._inverses, w)
+        assert alone.shape == (len(w) + 1, 2, 2)
+        for k in range(len(w) + 1):
+            assert alone[k].tobytes() == one.evaluate_word(Word(w[:k])).tobytes()
+        of_one = prefix_products([m[:1] for m in images], [m[:1] for m in inverses], w)
+        assert of_one.shape == (len(w) + 1, 1, 2, 2)
+        assert of_one.tobytes() == alone.tobytes()
+        stacked = prefix_products(images, inverses, w)
+        assert stacked.shape == (len(w) + 1, len(reps), 2, 2)
+        for n, rep in enumerate(reps):
+            assert stacked[:, n].tobytes() == prefix_products(
+                rep.images, rep._inverses, w).tobytes()
+            assert stacked[-1, n].tobytes() == rep.evaluate_word(Word(w)).tobytes()
 
 
 # -- adjoint and Killing form --------------------------------------------------------
@@ -356,6 +425,29 @@ def test_one_adjoint_for_single_matrices_stacks_and_coboundaries():
     for i, g in enumerate(gs):
         expected = _explicit_adjoint(g) - np.eye(3)
         assert d0[3 * i:3 * i + 3].tobytes() == expected.tobytes()
+
+
+def test_adjoint_matches_explicit_conjugation_on_edge_inputs():
+    # the lift's triangular normal-form pairs, the centre, signed zeros and a
+    # real matrix, alone and as an (L, N, 2, 2) stack, compared by bytes;
+    # a (2, 2) @ (2, 6) product g [H|E|F] flips signed zeros of the pairs
+    gen = np.random.default_rng(35)
+    triangular = [m for fk in (trefoil(), figure_eight())
+                  for point in sample_fixed_locus(fk, 8, gen)
+                  for m in _normal_form_pair(*point)]
+    signed_zeros = np.array([[complex(-0.0, 1.0), complex(0.0, -0.0)],
+                             [complex(-0.0, -0.0), complex(-0.0, -1.0)]])
+    real = np.array([[2.0, 1.0], [1.0, 1.0]])
+    cases = triangular + [np.eye(2), -np.eye(2), signed_zeros, real]
+    for g in cases:
+        # the reference runs on the complex matrix Ad runs on: negating a
+        # complex -0.0 + 0j gives 0.0 - 0j, a real -0.0 gives 0.0 + 0j
+        assert adjoint(g).tobytes() == _explicit_adjoint(np.asarray(g, complex)).tobytes()
+    stack = np.array(cases).reshape(6, 6, 2, 2)
+    stacked = adjoint(stack)
+    assert stacked.shape == (6, 6, 3, 3)
+    for index in np.ndindex(6, 6):
+        assert stacked[index].tobytes() == _explicit_adjoint(stack[index]).tobytes()
 
 
 # -- commutator trace ------------------------------------------------------------------

@@ -668,3 +668,19 @@ def test_lapack_wrappers_give_numpys_bits(m, n):
         x = _lstsq(a, b)
         for k in range(6):
             assert _same_bits(x[k], np.linalg.lstsq(a[k], b[k], rcond=None)[0])
+
+
+@pytest.mark.parametrize("count", [1, 64])
+def test_lapack_wrappers_give_numpys_bits_at_fibered_shapes(count):
+    # the stacks fibered passes: d0 and the B^1 view of its left singular
+    # vectors (N, 6, 3), the intertwiner systems (N, 8, 4) and the
+    # intertwiners' transposed views (N, 2, 2) for their determinants
+    rng = np.random.default_rng(count)
+    d0 = _complex_stack(rng, count, 6, 3)
+    bspace = np.linalg.svd(d0)[0][:, :, :3]
+    systems = _complex_stack(rng, count, 8, 4)
+    for a in (d0, bspace, systems):
+        for got, want in zip(_svd(a), np.linalg.svd(a)):
+            assert _same_bits(got, want)
+    T = _complex_stack(rng, count, 2, 2).swapaxes(1, 2)
+    assert _same_bits(_det(T), np.linalg.det(T))
