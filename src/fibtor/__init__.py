@@ -30,11 +30,9 @@ from .torsion import (
     homologies,
     homology,
     multiplicativity_check,
-    multiplicativity_checks,
     multiplicativity_signs,
     sign_determined_torsion,
     torsion,
-    torsions,
 )
 from .words import GroupPresentation, GroupRingElement, Word, fox_derivative
 from .rep import (
@@ -53,7 +51,6 @@ from .fibered import (
     abelianized_monodromy,
     eigenvalues_excluding_one,
     epsilon0,
-    jacobian_torsion,
     lift_character_to_rep,
     lift_characters_to_reps,
     main_theorem_torsion,

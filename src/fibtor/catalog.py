@@ -7,9 +7,9 @@ trace-coordinate Jacobian cross-check):
   figure_eight  monodromy a -> a b, b -> b a b;         trace map
                 (x3, x2 x3 - x1, x2 x3^2 - x1 x3 - x2)
 
-Each trace map is `TraceCoordMap.from_monodromy`: it keeps the monodromy
+Each `FiberedKnot` of genus one derives its trace map from its monodromy
 words and runs the trace recurrence at each point it is asked about, so the
-maps above are never stored; each knot also keeps its locus chart
+maps above are never stored; the catalog gives each knot its locus chart
 (`LocusChart`).
 
 Torus knots are served by the closed-form value only (their fibered
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .fibered import FiberedKnot, TraceCoordMap, lift_character_to_rep, torus_closed_form
+from .fibered import FiberedKnot, lift_character_to_rep, torus_closed_form
 from .linalg import RANK_TOL
 from .rep import SL2C, Representation, sl2_inverse
 
@@ -51,7 +51,7 @@ _COMPLEX = ((-2.5, 2.5), (-1.5, 1.5))
 
 def _genus_one_knot(name, monodromy, chart):
     fk = FiberedKnot(name, 1, ["a", "b"], monodromy)
-    fk.trace_map, fk.locus_chart = TraceCoordMap.from_monodromy(fk), chart
+    fk.locus_chart = chart
     return fk
 
 

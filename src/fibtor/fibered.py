@@ -46,10 +46,12 @@ from .rep import (
     coboundary_matrix,
     commutator_trace,
     fox_adjoint_blocks,
+    is_unimodular,
     prefix_products,
     sl2_inverse,
     su2_pair,
     twisted_cochain_complex,
+    unimodular_defect,
 )
 from .torsion import (BasedChainComplex, _computed, _det, _sign_determined, _svd,
                       _valid, multiplicativity_check, run_alone, torsion)
@@ -103,8 +105,9 @@ class FiberedKnot:
                 raise InvalidInputError(
                     "monodromy image of %r uses a non-fiber generator" % g)
             self.monodromy[g] = w.reduce()
-        # set by the catalog; from_json derives a genus-one knot file's map
-        self.trace_map = self.locus_chart = None
+        # the monodromy on genus-one trace coordinates; the catalog sets the chart
+        self.trace_map = TraceCoordMap(*self.monodromy_words()) if genus == 1 else None
+        self.locus_chart = None
         # det(I - phi_*) on H^1(F), an integer; fibered knots have
         # Delta_K(1) = +-1, so it is nonzero.  check_fibered=False admits
         # synthetic monodromies for bookkeeping
@@ -136,6 +139,17 @@ class FiberedKnot:
     def monodromy_words(self):
         return [self.monodromy[g] for g in self.fiber_generators]
 
+    def power(self, k):
+        """The knot of phi^k for k >= 1, named "<name>^k": each word is phi
+        substituted into every letter k times."""
+        phi = self.monodromy_words()
+        images = [Word([(g, 1)]) for g in range(len(phi))]
+        for _ in range(k):
+            images = [Word([x for g, e in w for x in (phi[g] if e == 1 else phi[g].inverse())])
+                      for w in images]
+        return FiberedKnot("%s^%d" % (self.name, k), self.genus, self.fiber_generators,
+                           dict(zip(self.fiber_generators, images)), meridian=self.meridian)
+
     def character_of(self, rep):
         """Trace coordinates (I_a, I_b, I_ab) of the fiber restriction
         (genus one only)."""
@@ -162,18 +176,15 @@ class FiberedKnot:
     @classmethod
     def from_json(cls, text):
         """Read a knot file, raising InvalidInputError on any malformed one.
-        A genus-one knot carries the trace map derived from its monodromy;
-        unknown keys, `trace_map` among them, are ignored."""
+        Unknown keys are ignored: a knot file's `trace_map` key is ignored,
+        since a genus-one knot derives its map from its monodromy."""
         try:
             obj = json.loads(text)
-            fk = cls(obj.get("name", "knot"), obj["genus"], obj["fiber_generators"],
-                     obj["monodromy"], meridian=obj.get("meridian", "t"))
+            return cls(obj.get("name", "knot"), obj["genus"], obj["fiber_generators"],
+                       obj["monodromy"], meridian=obj.get("meridian", "t"))
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise InvalidInputError("malformed knot file (%s: %s)"
                                     % (type(exc).__name__, exc)) from exc
-        if fk.genus == 1:
-            fk.trace_map = TraceCoordMap.from_monodromy(fk)
-        return fk
 
     def __repr__(self):
         return "FiberedKnot(%r, genus=%d)" % (self.name, self.genus)
@@ -399,16 +410,6 @@ class TorsionReport:
         return out
 
 
-def _report(fk, lams, method):
-    """The report of T = -eps0 * prod 1/(1 - lambda_i) over the eigenvalues
-    `lams` other than the unit eigenvalue."""
-    eps0 = epsilon0(fk)
-    value = -eps0 * np.prod([1.0 / (1.0 - lam) for lam in lams])
-    return TorsionReport(
-        torsion=complex(value), epsilon0=eps0, eigenvalues=lams, method=method,
-        knot=fk.name)
-
-
 def main_theorem_torsions(fk, reps):
     """`main_theorem_torsion` at every representation in `reps`: per
     representation, its TorsionReport or the FibtorError that refused it.
@@ -428,16 +429,21 @@ def main_theorem_torsions(fk, reps):
 
 
 def _reports(fk, reps, actions):
-    """`main_theorem_torsions` from the actions `monodromy_actions` gives."""
+    """`main_theorem_torsions` from the actions `monodromy_actions` gives:
+    T = -eps0 * prod 1/(1 - lambda_i) over the eigenvalues other than the
+    unit eigenvalue."""
     out = list(actions)
     rows = [i for i, act in enumerate(out) if isinstance(act, MonodromyAction)]
     evs = np.linalg.eigvals([out[i].quotient for i in rows]) if rows else []
     for i, row_evs in zip(rows, evs):
         try:
-            out[i] = _report(fk, _excluding_one(row_evs), "cohomology")
+            lams, eps0 = _excluding_one(row_evs), epsilon0(fk)
         except FibtorError as exc:
             out[i] = exc.with_traceback(None)
             continue
+        value = -eps0 * np.prod([1.0 / (1.0 - lam) for lam in lams])
+        out[i] = TorsionReport(torsion=complex(value), epsilon0=eps0, eigenvalues=lams,
+                               method="cohomology", knot=fk.name)
         if fk.genus == 1:
             out[i].character = fk.character_of(reps[i])
             out[i]._trace_map = fk.trace_map
@@ -449,22 +455,12 @@ def main_theorem_torsion(fk, rep):
     longitude, from the eigenvalues of the twisted monodromy.
 
     Requires the fiber restriction irreducible and a simple unit eigenvalue
-    of the action on H^1(F).  For genus-one knots carrying a trace-coordinate
-    map, the report also carries the eigenvalues of the trace-map
-    Jacobian at the representation's character as an independent cross-check.
+    of the action on H^1(F).  At genus one the report also carries the
+    eigenvalues of the knot's trace-map Jacobian at the representation's
+    character as an independent cross-check.
     This is the stack of one of `main_theorem_torsions`.
     """
     return _valid(main_theorem_torsions(fk, [rep])[0])
-
-
-def jacobian_torsion(fk, point):
-    """Torsion at a genus-one character point via the trace-map Jacobian only."""
-    if fk.trace_map is None:
-        raise InvalidInputError("knot %r carries no trace-coordinate map" % fk.name)
-    report = _report(fk, eigenvalues_excluding_one(fk.trace_map.jacobian(point)),
-                     "jacobian")
-    report.character = tuple(map(complex, point))
-    return report
 
 
 # -- Wang sequence ------------------------------------------------------------
@@ -693,13 +689,6 @@ class TraceCoordMap:
     def __init__(self, word_a, word_b):
         self._steps = [[_LETTER_STEPS[letter] for letter in w] for w in (word_a, word_b)]
 
-    @classmethod
-    def from_monodromy(cls, fk):
-        """The map of a genus-one knot's monodromy words."""
-        if fk.genus != 1:
-            raise InvalidInputError("trace maps are a genus-one notion here")
-        return cls(*fk.monodromy_words())
-
     def jets(self, point):
         """The jets (P_k, dP_k/dx1, dP_k/dx2, dP_k/dx3) of the three traces at
         the point, in the point's scalars; phi(a) phi(b) continues from
@@ -862,6 +851,11 @@ def lift_characters_to_reps(fk, points, flavor=SL2C, tol=RANK_TOL):
                 "intertwiner space has dimension %d; the pair is degenerate" % small)
         elif abs(dets[j]) < 1e-12:
             out[i] = NotFixedPointError("intertwiner is singular")
+        elif not is_unimodular(T[j]):
+            # a nearly singular kernel vector, normalized, loses digits of det T
+            out[i] = NotFixedPointError(
+                "intertwiner is nearly singular: normalized, |det - 1| = %.3e"
+                % unimodular_defect(T[j]))
         else:
             # the fiber generators are the presentation's first, so the
             # letters of a monodromy word index the same images there

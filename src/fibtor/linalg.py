@@ -34,14 +34,6 @@ def _rank(s, tol):
     return int(np.count_nonzero(s > tol * max(s[0], 1.0))) if s.size else 0
 
 
-def numerical_rank(m, tol=RANK_TOL):
-    """Rank of `m` by SVD, under the rank rule."""
-    m = _as_matrix(m)
-    if 0 in m.shape:
-        return 0
-    return _rank(np.linalg.svd(m, compute_uv=False), tol)
-
-
 def nullspace(m, tol=RANK_TOL):
     """Orthonormal basis (columns) of ker(m)."""
     m = _as_matrix(m)

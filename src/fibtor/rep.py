@@ -31,11 +31,17 @@ _F = np.array([[0, 0], [1, 0]], dtype=complex)
 SL2_BASIS = (_H, _E, _F)
 
 
-def is_unimodular(m):
-    """Whether the 2x2 matrix `m` has determinant 1; Python complex arithmetic
-    reads a NaN or an overflowing determinant as False, without a warning."""
+def unimodular_defect(m):
+    """|det m - 1| of the 2x2 matrix `m`, in Python complex arithmetic: NaN
+    or inf, without a warning, for a NaN or overflowing determinant."""
     (a, b), (c, d) = np.asarray(m).tolist()
-    return abs(a * d - b * c - 1.0) <= 1e-8
+    return abs(a * d - b * c - 1.0)
+
+
+def is_unimodular(m):
+    """Whether the 2x2 matrix `m` has determinant 1; a NaN or overflowing
+    determinant reads as False."""
+    return unimodular_defect(m) <= 1e-8
 
 
 def is_special_unitary(m):
@@ -249,8 +255,8 @@ def fox_adjoint_blocks(words, n):
 
     A letter g contributes +Ad of the prefix before it, a letter g^-1
     contributes -Ad of the prefix after it.  The adjoints of the prefixes of
-    all the words' letters are one `adjoint` call, and one running sum along
-    the letter axis adds them into each block in word order.  This repeats
+    all the words' letters are one `adjoint` call, and one sum along the
+    letter axis adds them into each block in word order.  This repeats
     the arithmetic of `rep.evaluate_group_ring(fox_derivative(word, i))` bit
     for bit: the prefixes of a reduced word are reduced and are built by the
     same left-to-right products as `evaluate_word`, and the group-ring terms
@@ -261,15 +267,16 @@ def fox_adjoint_blocks(words, n):
     points = np.shape(stacks[0])[1:-2] if stacks else ()
     longest = max(map(len, letters), default=0)
     # row (w, i) holds generator i's terms of word w in word order and +0.0
-    # elsewhere; its running sum starts at +0.0, so the zeros change no bit
-    # and the result is evaluate_group_ring's accumulation exactly
+    # elsewhere; its sum starts at +0.0, so the zeros change no bit and the
+    # result is evaluate_group_ring's accumulation exactly.  The letter axis
+    # is not the last, so numpy adds it in order, not pairwise
     spread = np.zeros((len(words), n, longest + 1) + points + (3, 3), dtype=complex)
     word, gens, inverse, prefixes, place = _letter_arrays(letters)
     if len(gens):
         terms = adjoint(np.concatenate(stacks)[prefixes])
         np.negative(terms, out=terms, where=inverse.reshape((-1,) + (1,) * (terms.ndim - 1)))
         spread[word, gens, place] = terms
-    return np.cumsum(spread, axis=2)[:, :, -1]
+    return np.add.reduce(spread, axis=2)
 
 
 def twisted_cochain_complex(rep):

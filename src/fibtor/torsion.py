@@ -23,12 +23,11 @@ needs, a list of (fn, array, ...) tuples, and is sent back their results.
 `run_stack` runs a list of step generators side by side, one step of each
 at a time, and makes each step's calls with one call per function and tuple
 of argument shapes (`batched`); `run_alone` runs one, and `together` runs
-a few inside another generator.  So `homologies`,
-`torsions` and `multiplicativity_checks` are stacks, and `homology`,
-`torsion`, `sign_determined_torsion` and `multiplicativity_check` the same
-generators run alone.  Batches stay full because every generator of one kind
-takes the same number of steps whatever its data: a step with nothing to
-compute still yields its empty list.  numpy's linalg routines run a stack
+a few inside another generator.  So `homologies` is a stack, and
+`homology`, `torsion`, `sign_determined_torsion` and `multiplicativity_check`
+the same generators run alone.  Batches stay full because every generator
+of one kind takes the same number of steps whatever its data: a step with
+nothing to compute still yields its empty list.  numpy's linalg routines run a stack
 matrix by matrix, so a complex gets the same bits alone or in a stack.
 
 The sign-determined refinement multiplies by (-1)^{|C_*|} with
@@ -474,12 +473,6 @@ def _torsion(cx, rng=None):
     return (yield from _torsion_of(c, hdata, rng))
 
 
-def torsions(cxs):
-    """Reidemeister torsion of every based, homology based complex in `cxs`:
-    per complex its value or the ChainComplexError that refused it."""
-    return run_stack([_torsion(cx) for cx in cxs])
-
-
 def torsion(cx, rng=None):
     """Reidemeister torsion of a based, homology based complex.
 
@@ -744,15 +737,6 @@ def _multiplicativity(c_sub, c_total, c_quot, incl, proj):
     rhs = (-1) ** ((alpha + eps) % 2) * Ts * Tq * tor_les
     return abs(Tc - rhs), {"total": Tc, "sub": Ts, "quot": Tq, "les": tor_les,
                            "alpha": alpha, "epsilon": eps}
-
-
-def multiplicativity_checks(seqs):
-    """`multiplicativity_check` on every sequence in `seqs`, each a tuple
-    (c_sub, c_total, c_quot, incl, proj): per sequence its (residual,
-    parts), or the error that refused it -- a ChainComplexError, or the
-    LinAlgError of a class that falls off its span in the long exact
-    sequence."""
-    return run_stack([_multiplicativity(*seq) for seq in seqs])
 
 
 def multiplicativity_check(c_sub, c_total, c_quot, incl, proj):

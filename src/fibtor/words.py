@@ -134,9 +134,6 @@ class GroupRingElement:
     def __add__(self, other):
         return GroupRingElement(self.terms + other.terms)
 
-    def left_multiply(self, word):
-        return GroupRingElement(tuple((c, word * w) for c, w in self.terms))
-
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms
 

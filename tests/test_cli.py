@@ -239,6 +239,19 @@ def test_sweep_character_coordinates(capsys):
     assert lines[2] == "-1,0.5,1,,,,,NOT_FIXED_POINT"
 
 
+def test_nearly_singular_intertwiner_is_refused_not_raised(capsys):
+    # normalized to det 1, the meridian intertwiner misses it by 4.2e-8
+    out, err = run(capsys, "compute", "--knot", "figure_eight", "--x", "0,-1e8,0", expect=1)
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error[NOT_FIXED_POINT]: ") and "|det - 1| = 4.2" in err
+    out, err = run(capsys, "sweep", "--knot", "figure_eight",
+                   "--grid", "x1=0:0:1,x2=-1e8:-1e8:1,x3=0:1e-8:2", expect=1)
+    assert err == ""
+    assert out.strip().split("\n")[1:] == ["0,-100000000,0,,,,,NOT_FIXED_POINT",
+                                           "0,-100000000,1e-08,,,,,NOT_FIXED_POINT"]
+
+
 def test_sweep_coordinate_the_knot_lacks(capsys):
     out, err = run(capsys, "sweep", "--knot", "trefoil", "--grid", "u=0:1:2",
                    "--format", "json", expect=1)

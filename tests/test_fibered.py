@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from fibtor import (
     DegenerateMonodromyError,
@@ -32,7 +33,6 @@ from fibtor import (
     epsilon0,
     figure_eight,
     homology,
-    jacobian_torsion,
     lift_character_to_rep,
     lift_characters_to_reps,
     main_theorem_torsion,
@@ -58,7 +58,7 @@ from fibtor.cli import main as cli_main
 from fibtor import rep as rep_module
 from fibtor.linalg import column_space
 from fibtor.verify import multiset_distance
-from knots import fig8_locus_point, figure_eight_power
+from knots import fig8_locus_point
 from sympy_traces import (X, fixed_locus_relations, jets, polynomials,
                           preserves_boundary_trace)
 
@@ -92,6 +92,28 @@ def test_identity_monodromy_synthetic_bookkeeping():
     assert abelianized_monodromy(fk).tolist() == [[1, 0], [0, 1]]
     with pytest.raises(DegenerateMonodromyError):
         epsilon0(fk)
+
+
+def test_power_composes_the_monodromy():
+    fk = figure_eight()
+    once = fk.power(1)
+    assert (once.name, once.monodromy) == ("figure_eight^1", fk.monodromy)
+    squared = fk.power(2)
+    assert squared.name == "figure_eight^2"
+    assert squared.fiber_generators == fk.fiber_generators and squared.meridian == "t"
+    # phi(phi(a)) = phi(a) phi(b), phi(phi(b)) = phi(b) phi(a) phi(b)
+    assert [w.to_string(["a", "b"]) for w in squared.monodromy_words()] == [
+        "a b b a b", "b a b a b b a b"]
+    # the trefoil's words carry inverses, and come out freely reduced
+    assert all(w == w.reduce() for w in trefoil().power(2).monodromy_words())
+    # M^3 = -I on H_1 of the trefoil's fiber, M^6 = I: the constructor refuses it
+    assert abelianized_monodromy(trefoil().power(3)).tolist() == [[-1, 0], [0, -1]]
+    with pytest.raises(DegenerateMonodromyError):
+        trefoil().power(6)
+    granny = FiberedKnot("granny", 2, ["a1", "b1", "a2", "b2"],
+                         {"a1": "a1 B1 A1", "b1": "a1 b1", "a2": "a2 B2 A2", "b2": "a2 b2"},
+                         meridian="m")
+    assert granny.power(2).meridian == "m" and granny.power(2).trace_map is None
 
 
 def test_epsilon0_values():
@@ -440,9 +462,10 @@ def test_derived_trace_maps_match_catalog_docstring():
     x1, x2, x3 = X
     assert polynomials(trefoil().trace_map) == (x2, x3, x1)
     assert polynomials(figure_eight().trace_map) == FIG8_TRACE_MAP
+    # a knot built without the catalog derives the same map
     bare = FiberedKnot("figure_eight", 1, ["a", "b"], {"a": "a b", "b": "b a b"})
-    assert bare.trace_map is None
-    assert polynomials(TraceCoordMap.from_monodromy(bare)) == FIG8_TRACE_MAP
+    assert bare.locus_chart is None
+    assert polynomials(bare.trace_map) == FIG8_TRACE_MAP
 
 
 def test_trace_recurrence_gradients_are_exact():
@@ -454,8 +477,7 @@ def test_trace_recurrence_gradients_are_exact():
               (0.5, -0.0, 2.0)]
     for _ in range(40):
         words = {g: _random_word(r, r.randrange(7)) for g in "ab"}
-        tm = TraceCoordMap.from_monodromy(
-            FiberedKnot("k", 1, ["a", "b"], words, check_fibered=False))
+        tm = FiberedKnot("k", 1, ["a", "b"], words, check_fibered=False).trace_map
         exact = jets(tm)
         for value, *gradient in exact:
             assert tuple(gradient) == tuple(sympy.diff(value, x) for x in X)
@@ -477,7 +499,7 @@ def test_jacobian_on_long_words_matches_60_digits():
     # figure_eight^k up to k = 5 (233 letters): no cancellation grows with
     # the word, as it did when the expanded polynomials were evaluated
     for k in range(1, 6):
-        tm = TraceCoordMap.from_monodromy(figure_eight_power(k))
+        tm = figure_eight().power(k).trace_map
         for u in (-1.2, -0.7 + 0.5j, 0.6 + 0.3j, 0.3 + 0.7j):
             point = fig8_locus_point(u)
             want = _mp_jacobian(tm, point)
@@ -486,7 +508,7 @@ def test_jacobian_on_long_words_matches_60_digits():
 
 def test_long_word_jacobian_eigenvalues_match_the_cohomology_route():
     # figure_eight^5 read from a knot file, as compute reads it
-    fk = FiberedKnot.from_json(figure_eight_power(5).to_json())
+    fk = FiberedKnot.from_json(figure_eight().power(5).to_json())
     for u in (-1.2, -0.7 + 0.5j, 0.6 + 0.3j, 0.3 + 0.7j):
         report = main_theorem_torsion(fk, lift_character_to_rep(fk, fig8_locus_point(u)))
         scale = max(1.0, max(map(abs, report.eigenvalues)))
@@ -495,13 +517,15 @@ def test_long_word_jacobian_eigenvalues_match_the_cohomology_route():
 
 
 def test_jacobian_torsion_matches_pipeline():
+    # T = -eps0 * prod 1/(1 - mu_i) over the trace-map Jacobian's
+    # non-unit eigenvalues mu_i: the second route, with no Fox calculus
     fk = figure_eight()
     pt = fig8_locus_point(0.6 + 0.4j)
     rep = lift_character_to_rep(fk, pt)
     coh = main_theorem_torsion(fk, rep)
-    jac = jacobian_torsion(fk, pt)
-    assert jac.method == "jacobian"
-    assert jac.torsion == pytest.approx(coh.torsion, abs=1e-9)
+    mus = eigenvalues_excluding_one(fk.trace_map.jacobian(pt))
+    jac = -epsilon0(fk) * np.prod([1.0 / (1.0 - mu) for mu in mus])
+    assert jac == pytest.approx(coh.torsion, abs=1e-9)
 
 
 def test_monodromy_power_oracle():
@@ -517,7 +541,7 @@ def test_monodromy_power_oracle():
         assert np.max(np.abs(mus)) <= 3.0
         for k in range(1, 9):
             assert np.min(np.abs(1.0 - mus ** k)) >= 0.1
-            powered = figure_eight_power(k)
+            powered = figure_eight().power(k)
             det = round(np.linalg.det(np.eye(2) - np.linalg.matrix_power(m, k)))
             expected = -np.sign(det) * np.prod(1.0 / (1.0 - mus ** k))
             rep = lift_character_to_rep(powered, point)
@@ -531,7 +555,7 @@ def _lifted_cases():
     return [(fk, lift_character_to_rep(fk, point))
             for fk, point in ((trefoil(), (0.4, 0.4, 0.4)),
                               (figure_eight(), fig8_locus_point(0.6 + 0.3j)),
-                              (figure_eight_power(5), fig8_locus_point(-1.2)))]
+                              (figure_eight().power(5), fig8_locus_point(-1.2)))]
 
 
 def test_relator_defect_is_the_reference_evaluation():
@@ -575,7 +599,7 @@ def test_each_word_is_walked_once_per_representation(monkeypatch):
 
     monkeypatch.setattr(rep_module, "prefix_products", counting)
     monkeypatch.setattr(fibered_module, "prefix_products", counting)
-    fk = figure_eight_power(5)
+    fk = figure_eight().power(5)
     assert sum(map(len, fk.monodromy_words())) == 233
     main_theorem_torsion(fk, lift_character_to_rep(fk, fig8_locus_point(-1.2)))
     assert sorted(map(len, walked)) == sorted(
@@ -633,6 +657,47 @@ def test_stacked_lift_matches_one_point_lift():
                     "RELATOR_VIOLATION"}
 
 
+# the figure-eight chart's reducible points u = (+-sqrt 5 - 1)/2
+_FIG8_REDUCIBLE = ((math.sqrt(5.0) - 1.0) / 2.0, (-math.sqrt(5.0) - 1.0) / 2.0)
+
+
+def _complex_of_size(lo, hi):
+    """Complex numbers 10^e e^(i theta) for lo <= e <= hi."""
+    return st.builds(lambda e, theta: 10.0 ** e * cmath.exp(1j * theta),
+                     st.floats(lo, hi), st.floats(0.0, 2.0 * math.pi))
+
+
+_LIFT_STACKS = st.one_of(
+    # raw triples of magnitude 1e-8 to 1e8 on either knot
+    st.tuples(st.sampled_from(["trefoil", "figure_eight"]),
+              st.lists(st.tuples(*[_complex_of_size(-8.0, 8.0)] * 3), min_size=1, max_size=4)),
+    # within 1e-12 to 1e-6 of a reducible character of either knot
+    st.tuples(st.just("figure_eight"), st.lists(st.builds(
+        lambda u, d: fig8_locus_point(u + d), st.sampled_from(_FIG8_REDUCIBLE),
+        _complex_of_size(-12.0, -6.0)), min_size=1, max_size=4)),
+    st.tuples(st.just("trefoil"), st.lists(st.builds(
+        lambda x, d: (x + d,) * 3, st.sampled_from([-1.0, 2.0]),
+        _complex_of_size(-12.0, -6.0)), min_size=1, max_size=4)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_LIFT_STACKS)
+# the normalized intertwiner misses det 1 by 4.2e-8 (compute --x 0,-1e8,0),
+# and by 1.5e-8 next to the reducible point beside a row that lifts
+@example(("figure_eight", [(0.0, -1e8, 0.0)]))
+@example(("figure_eight", [fig8_locus_point(_FIG8_REDUCIBLE[0] + 3e-9 + 1e-9j),
+                           fig8_locus_point(_FIG8_REDUCIBLE[0] + 0.3)]))
+def test_lift_refuses_every_row_it_cannot_lift(case):
+    # every row is a Representation or a FibtorError, the one its point
+    # gives alone; nothing raises
+    knot, points = case
+    fk = trefoil() if knot == "trefoil" else figure_eight()
+    for point, lifted in zip(points, lift_characters_to_reps(fk, points)):
+        assert isinstance(lifted, (Representation, FibtorError))
+        assert _outcome(lifted) == _one_point_outcome(fk, point)
+
+
 def test_stacked_lift_edges():
     fk = figure_eight()
     assert lift_characters_to_reps(fk, []) == []
@@ -687,7 +752,7 @@ def _one_rep_action(fk, rep):
 def _mixed_torsion_cases():
     """(home knot, error code or "ok", representation) on the trefoil, the
     figure-eight and figure_eight^5, with every refusal of the torsion half."""
-    tref, fig8, fig8_5 = trefoil(), figure_eight(), figure_eight_power(5)
+    tref, fig8, fig8_5 = trefoil(), figure_eight(), figure_eight().power(5)
     cases = [(tref, "ok", r) for r in lift_characters_to_reps(
         tref, [(x, x, x) for x in (0.4, 1.5, 2.5 + 0.5j)])]
     fig8_reps = lift_characters_to_reps(fig8, [fig8_locus_point(u)
@@ -1009,7 +1074,8 @@ def test_knot_file_trace_map_is_derived_from_the_monodromy():
     for words in ({"a": "a B A", "b": "a b"}, {"a": "a b b", "b": "b a"}):
         fk = FiberedKnot("k", 1, ["a", "b"], words)
         loaded = FiberedKnot.from_json(fk.to_json())
-        assert polynomials(loaded.trace_map) == polynomials(TraceCoordMap.from_monodromy(fk))
+        assert polynomials(loaded.trace_map) == polynomials(
+            TraceCoordMap(*fk.monodromy_words()))
     granny = FiberedKnot("granny", 2, ["a1", "b1", "a2", "b2"],
                          {"a1": "a1 B1 A1", "b1": "a1 b1", "a2": "a2 B2 A2", "b2": "a2 b2"})
     given = dict(json.loads(granny.to_json()), trace_map=["x1", "x2", "x3"])

@@ -3,12 +3,13 @@
     python tools/pinned_outputs.py DIR
 
 first writes the knot and rep files the commands read to DIR/inputs/,
-then runs each command below as `python -m fibtor.cli ...` in DIR against
-the `src/` of the checkout this script sits in, and writes
+then runs each command below as `python -m fibtor.cli ...` in DIR, and writes
 DIR/<case>.stdout, DIR/<case>.stderr and DIR/<case>.code.  The elapsed
 time that `verify` prints is masked, so two checkouts that behave alike
 give directories that `diff -r` finds equal.  Exits 1 if any command
-printed a traceback.
+printed a traceback.  fibtor, here and in every command, is the `src/` of
+the checkout this script sits in; the figure-eight power's knot file takes
+its words from `FiberedKnot.power`.
 """
 
 import json
@@ -19,24 +20,13 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from fibtor import figure_eight  # noqa: E402
 
 FIG8_FILE = {"name": "figure_eight", "genus": 1, "fiber_generators": ["a", "b"],
              "meridian": "t", "monodromy": {"a": "a b", "b": "b a b"}}
-
-
-def monodromy_power(monodromy, k):
-    """The words of phi^k for a monodromy phi given as word strings in
-    one-letter generators (an uppercase letter is an inverse), by
-    substituting phi into every letter k times."""
-    def image(letter):
-        if letter in monodromy:
-            return monodromy[letter].split()
-        return [x.swapcase() for x in reversed(monodromy[letter.lower()].split())]
-    words = {g: [g] for g in monodromy}
-    for _ in range(k):
-        words = {g: [x for letter in w for x in image(letter)] for g, w in words.items()}
-    return {g: " ".join(w) for g, w in words.items()}
-
+FIG8_POWER5 = figure_eight().power(5)
 
 # knot files, written as JSON
 KNOT_FILES = {
@@ -46,8 +36,9 @@ KNOT_FILES = {
         "x3", "x2*x3 - x1", "x2*x3**2 - x1*x3 - x2"]),
     "fig8_unknown_generator.json": dict(FIG8_FILE, monodromy={"a": "a c", "b": "b a b"}),
     # phi^5, 233 letters in all
-    "fig8_power5.json": dict(FIG8_FILE, name="figure_eight^5",
-                             monodromy=monodromy_power(FIG8_FILE["monodromy"], 5)),
+    "fig8_power5.json": dict(FIG8_FILE, name=FIG8_POWER5.name, monodromy={
+        g: w.to_string(FIG8_POWER5.fiber_generators)
+        for g, w in FIG8_POWER5.monodromy.items()}),
 }
 # the figure-eight locus point (u, u / (u - 1), u) at u = 0.3 + 0.7i, which
 # every power of the monodromy fixes
@@ -181,8 +172,10 @@ for seed in (0, 1, 2, 3, 523000):
     CASES.append(("verify_seed%d" % seed, ["verify", "--seed", str(seed)]))
 # known refusals: figure-eight samples next to degenerate points of the locus
 # chart, where a rank decision of the Wang check lands on the wrong side of
-# its cutoff ("d o d != 0", "long exact sequence is not exact"); both exit 1
-for seed in (24109014, 224035068):
+# its cutoff ("d o d != 0", then "long exact sequence is not exact" twice;
+# the last is the check seed the verify benchmark's seed 34 reaches at op
+# 1362); all exit 1
+for seed in (24109014, 224035068, 748834104):
     CASES.append(("verify_wang_identities_seed%d" % seed,
                   ["verify", "--filter", "wang_identities", "--seed", str(seed)]))
 
